@@ -31,7 +31,6 @@ from .intpoly import (
     coeff_set,
     extract_residue,
     laurent,
-    monomial,
     poly_add,
     poly_exact_div,
     poly_mod_monic,
@@ -210,11 +209,18 @@ def fstar_family(n: int, p: int) -> list[IntPolynomial]:
         f0 = f0_fast(tuple(q for q, _ in fac), p) if n > 1 else extract_residue(phi(p), p, 0)
     else:
         f0 = extract_residue(phi(n * p), p, 0)
-    base = phi(n)
+    # Each shift is one pass over phi(n)'s coefficients: multiply by x,
+    # then cancel the degree-tot term by subtracting lead * phi(n).
+    base = phi(n).coeffs
+    tot = len(base) - 1
     out = [f0]
-    x = monomial(1)
+    cur = list(f0.coeffs) + [0] * (tot - len(f0.coeffs))
     for _ in range(1, n):
-        out.append(poly_mod_monic(poly_mul(x, out[-1]), base))
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            cur = [c - lead * b for c, b in zip(cur, base)]
+        out.append(IntPolynomial(tuple(cur)))
     return out
 
 

@@ -20,7 +20,8 @@ from math import gcd, prod
 from ._numtheory import factorize, is_prime, primes_up_to
 from .cyclotomic import phi
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
-from .intpoly import coeff_set, poly_height, substitute_neg
+from .fjdecomp import fstar_family
+from .intpoly import IntPolynomial, coeff_set, poly_height, substitute_neg
 from .pseudocyclo import pseudo_phi
 
 
@@ -44,11 +45,39 @@ def _check_multiplier(multiplier: int, factors) -> None:
         raise ValueError("multiplier may only repeat given primes or powers of 2")
 
 
+def _shift_family(odd: tuple[int, ...]) -> list[IntPolynomial] | None:
+    """The reduced shift family of the top prime p over the product n of
+    the other primes, when p > n and building it is estimated cheaper
+    than expanding phi(n*p); None otherwise. The union of the coefficient
+    sets of its n entries, plus 0, is the coefficient set of phi(n*p)."""
+    if not odd:
+        return None
+    p = max(odd)
+    rest = [q for q in odd if q != p]
+    n = prod(rest)
+    if p < n:
+        return None
+    tot = prod(q - 1 for q in rest)
+    # Route: f0_fast's inclusion-exclusion makes 2^(k+1) passes over about
+    # n*w terms (w = p mod n, k primes in n), then n shifts of tot terms.
+    # Direct: the expansion of phi(n*p) has tot*(p - 1) terms.
+    route_cost = 2 ** (len(rest) + 1) * n * (p % n) + n * tot
+    direct_cost = tot * (p - 1)
+    if route_cost >= direct_cost:
+        return None
+    return fstar_family(n, p)
+
+
 def height_of(factors, multiplier: int = 1) -> int:
     """Largest absolute coefficient. Square parts and factors of 2 never
-    change it, so only the odd radical is expanded."""
+    change it, so only the odd radical counts; a top prime beyond the
+    product of the others is read off the reduced shift family when that
+    is cheaper than the expansion."""
     odd = _odd_part_factors(factors)
     _check_multiplier(multiplier, factors)
+    family = _shift_family(odd)
+    if family is not None:
+        return max(map(poly_height, family))
     return poly_height(phi(prod(odd)))
 
 
@@ -63,6 +92,9 @@ def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
         if m == 1:
             return {0, 1}
         return coeff_set(substitute_neg(phi(m)))
+    family = _shift_family(odd)
+    if family is not None:
+        return set().union(*map(coeff_set, family))
     return coeff_set(phi(m))
 
 

@@ -24,9 +24,18 @@ from .fjdecomp import (
     gj_family,
     periodicity_compare,
 )
-from .flatness import VerdictStatus, _coprime_tuples3, _prime_tuples, classify, scan
+from .flatness import (
+    VerdictStatus,
+    _coprime_tuples3,
+    _prime_tuples,
+    classify,
+    coefficient_set_of,
+    height_of,
+    scan,
+)
 from .intpoly import (
     ZERO,
+    coeff_set,
     geometric_series,
     monomial,
     poly,
@@ -199,19 +208,17 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
 def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
     pairs = _fj_grid(nmax, pmax)
     chunks = [pairs[i : i + 150] for i in range(0, len(pairs), 150)]
-    merged: dict[str, list] = {}
-    total = 0
     if jobs <= 1:
         outcomes = map(_fj_check_chunk, chunks)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        outcomes = pool.map(_fj_check_chunk, chunks)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_fj_check_chunk, chunks))
+    merged: dict[str, list] = {}
+    total = 0
     for checked, fails in outcomes:
         total += checked
         for key, rows in fails.items():
             merged.setdefault(key, []).extend(rows)
-    if jobs > 1:
-        pool.shutdown()
     large = sum(1 for n, p in pairs if p > n)
     infos = {
         "family-invariants": f"{total} (n,p) pairs",
@@ -343,12 +350,18 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
 
 
 def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
-    definite_bad, bound_bad = [], []
+    definite_bad, bound_bad, route_bad = [], [], []
     triples = 0
     definite = 0
+    bigtop = 0
     for n, (p, q, r) in _prime_tuples(3, 1, limit):
         triples += 1
-        h = poly_height(phi(n))
+        f = phi(n)
+        h = poly_height(f)
+        if r > p * q:
+            bigtop += 1
+            if height_of((p, q, r)) != h or coefficient_set_of((p, q, r)) != coeff_set(f):
+                route_bad.append((p, q, r))
         v = classify((p, q, r))
         if v.status is VerdictStatus.Flat:
             definite += 1
@@ -379,6 +392,12 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
             "height-bounded-by-w",
             bound_bad,
             f"{triples} ternary n <= {limit}",
+        ),
+        _result(
+            "classifier-soundness",
+            "bigtop-route-matches-expansion",
+            route_bad,
+            f"{bigtop} ternary n <= {limit} with r > pq",
         ),
     ]
 

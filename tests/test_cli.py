@@ -298,7 +298,7 @@ def test_stdout_determinism_and_timing(runner):
     assert t.stderr.startswith("timing: ")
 
 
-def test_broken_pipe_exits_quietly():
+def _psi_into_head(nbytes: int):
     import os
     import shlex
     import subprocess
@@ -314,18 +314,32 @@ def test_broken_pipe_exits_quietly():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
     )
-    # 120KB into a pipe whose reader exits after 10 bytes. The writer may
-    # be inside one large write() when head goes (short write, exit 0) or
-    # start writing after it has gone (BrokenPipeError, exit 1); either way
-    # the first ten bytes arrive and nothing reaches stderr
-    proc = subprocess.run(
-        f"{shlex.quote(sys.executable)} -m cycloforge.cli psi --n 100000 | head -c 10",
+    return subprocess.run(
+        f"{shlex.quote(sys.executable)} -m cycloforge.cli psi --n 100000 | head -c {nbytes}",
         shell=True,
         capture_output=True,
         text=True,
         timeout=30,
         env=env,
     )
+
+
+def test_broken_pipe_exits_quietly():
+    # 120KB into a pipe whose reader exits after 10 bytes. The writer may
+    # be inside one large write() when head goes (short write, exit 0) or
+    # start writing after it has gone (BrokenPipeError, exit 1); either way
+    # the first ten bytes arrive and nothing reaches stderr
+    proc = _psi_into_head(10)
     assert proc.returncode == 0
     assert proc.stdout == "-1 0 0 0 0"
+    assert proc.stderr == ""
+
+
+def test_broken_pipe_before_first_write_exits_quietly():
+    # head -c 0 exits at once, long before the CLI has imported and
+    # computed, so the first write meets a closed pipe: the
+    # BrokenPipeError handler must keep stderr empty
+    proc = _psi_into_head(0)
+    assert proc.returncode == 0
+    assert proc.stdout == ""
     assert proc.stderr == ""

@@ -6,9 +6,12 @@ through the polynomial layer, which the classifier never calls.
 
 import json
 from collections import Counter
+from math import prod
 
 import pytest
 
+from cycloforge import flatness
+from cycloforge._numtheory import factorize, primes_up_to
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from cycloforge.flatness import (
@@ -22,7 +25,7 @@ from cycloforge.flatness import (
     report_csv_rows,
     scan,
 )
-from cycloforge.intpoly import poly_height
+from cycloforge.intpoly import coeff_set, poly_height
 
 # (n, A(n), A(3n)) rows that the p=3 height-drop scan must reproduce
 DROP_ROWS_BELOW_20000 = [
@@ -72,6 +75,67 @@ def test_coefficient_set_golden():
     assert coefficient_set_of([]) == {-1, 0, 1}
     # the factor 2 genuinely changes the set for 3*5*17, not just its sign
     assert coefficient_set_of([3, 5, 17, 2]) == {-2, -1, 0, 1}
+
+
+def test_bigtop_route_matches_expansion_grid():
+    # every odd squarefree n < 60 with a prime p > n and n*p <= 10000,
+    # whichever way the router sends it
+    ps = [p for p in primes_up_to(10000 // 3) if p > 2]
+    checked = 0
+    for n in range(1, 60, 2):
+        fac = factorize(n)
+        if any(e > 1 for _, e in fac):
+            continue
+        rest = tuple(q for q, _ in fac)
+        for p in ps:
+            if p <= n or n * p > 10000:
+                continue
+            f = phi(n * p)
+            assert height_of(rest + (p,)) == poly_height(f), (n, p)
+            assert coefficient_set_of(rest + (p,)) == coeff_set(f), (n, p)
+            checked += 1
+    assert checked > 1000
+
+
+def test_bigtop_route_edge_cases(monkeypatch):
+    calls = []
+    real = flatness.fstar_family
+    monkeypatch.setattr(
+        flatness, "fstar_family", lambda n, p: calls.append((n, p)) or real(n, p)
+    )
+    cases = [
+        ((3, 5, 151), {-1, 0, 1}),  # w = 1
+        ((3, 5, 461), {-1, 0, 1, 2}),  # w = 11
+        ((3, 101), {-1, 0, 1}),  # binary
+        ((101,), {0, 1}),  # single prime: n = 1
+        ((5, 3, 7, 1061), set(range(-3, 4))),  # unsorted factors
+    ]
+    for factors, want in cases:
+        assert coefficient_set_of(factors) == want == coeff_set(phi(prod(factors)))
+        assert height_of(factors) == max(map(abs, want))
+    assert calls == [(15, 151), (15, 151), (15, 461), (15, 461), (3, 101), (3, 101),
+                     (1, 101), (1, 101), (105, 1061), (105, 1061)]
+    # the multiplier repeats given primes and changes neither answer
+    assert height_of([3, 5, 7, 1061], multiplier=9 * 1061) == 3
+    assert coefficient_set_of([3, 5, 7, 1061], multiplier=25) == set(range(-3, 4))
+    # a factor of 2 flips signs at odd exponents, so it stays on expansion
+    assert coefficient_set_of([3, 5, 461, 2]) == {-2, -1, 0, 1, 2}
+
+
+def test_bigtop_router_keeps_costly_route_off(monkeypatch):
+    # w = 9007 mod 1001 = 999: inclusion-exclusion over n*w terms costs
+    # more than expanding phi(1001 * 9007) directly
+    def refuse(n, p):
+        raise AssertionError("routed")
+
+    monkeypatch.setattr(flatness, "fstar_family", refuse)
+    assert height_of((7, 11, 13, 9007)) == 7
+
+
+def test_bigtop_route_beyond_expansion_reach():
+    # phi(1155 * 1000033) has degree 4.8e8; its periodicity partner
+    # 2113 = 1000033 (mod 1155) is small enough to expand
+    assert height_of((3, 5, 7, 11, 1000033)) == 46 == poly_height(phi(1155 * 2113))
 
 
 def test_classify_golden_verdicts():
