@@ -1,6 +1,7 @@
-"""Two-part structure: corner inverses, explicit products of grid rows,
-staircase multiples, prefix truncations, reduction modulo one cyclotomic,
-and the binomial-multiplier flatness probe.
+"""Two-part structure: staircase corners and the explicit grid-block
+products they assemble (level 1 gives the two-part polynomial itself),
+prefix truncations, reduction modulo one cyclotomic, and the
+binomial-multiplier flatness probe.
 
 The central picture is a p-by-q grid holding the residues of a*p + b*q
 modulo pq. One vertical and one horizontal cut, placed by the modular
@@ -31,23 +32,6 @@ from .intpoly import (
 
 
 @dataclass(frozen=True, slots=True)
-class LCorner:
-    """Corner of the unit cut: p*mu = 1 (mod q), q*lam = 1 (mod p),
-    hence p*mu + q*lam = p*q + 1."""
-
-    p: int
-    q: int
-    mu: int
-    lam: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.mu <= self.q - 1 and 1 <= self.lam <= self.p - 1):
-            raise ValueError("corner out of range")
-        if self.p * self.mu + self.q * self.lam != self.p * self.q + 1:
-            raise ValueError("corner identity violated")
-
-
-@dataclass(frozen=True, slots=True)
 class StaircaseCorner:
     """Corner of the level-l cut: p*mu + q*lam = p*q + l, with mu and lam
     allowed to reach q and p respectively."""
@@ -74,13 +58,9 @@ def _require_coprime_pair(p: int, q: int) -> None:
         raise NotCoprime(f"{p} and {q} share a common factor")
 
 
-def crt_corner(p: int, q: int) -> LCorner:
-    _require_coprime_pair(p, q)
-    return LCorner(p, q, modinv(p, q), modinv(q, p))
-
-
 def staircase_corner(p: int, q: int, l: int) -> StaircaseCorner:
-    """Unique (mu, lam) with p*mu + q*lam = p*q + l in the wide ranges."""
+    """Unique (mu, lam) with p*mu + q*lam = p*q + l in the wide ranges.
+    At l = 1 these are the inverses mu = p^-1 (mod q), lam = q^-1 (mod p)."""
     _require_coprime_pair(p, q)
     if not (1 <= l <= p + q - 1):
         raise LOutOfRange(f"l must lie in [1, {p + q - 1}]")
@@ -91,18 +71,11 @@ def staircase_corner(p: int, q: int, l: int) -> StaircaseCorner:
     return StaircaseCorner(p, q, l, mu, lam)
 
 
-def binary_phi_explicit(p: int, q: int) -> IntPolynomial:
-    """Grid-block product for the two-part polynomial: one block of full
-    rows times full columns, minus x times the complementary block."""
-    c = crt_corner(p, q)
-    head = poly_mul(geometric_series(p, c.mu), geometric_series(q, c.lam))
-    tail = poly_mul(geometric_series(p, q - c.mu), geometric_series(q, p - c.lam))
-    return poly_sub(head, poly_mul(monomial(1), tail))
-
-
 def staircase_multiple(p: int, q: int, l: int) -> IntPolynomial:
     """(1 + x + ... + x^(l-1)) times the two-part polynomial, assembled
-    from the level-l corner; always flat."""
+    from the level-l corner; always flat. At l = 1 this is the two-part
+    polynomial itself: one block of full rows times full columns, minus
+    x times the complementary block."""
     c = staircase_corner(p, q, l)
     head = poly_mul(geometric_series(p, c.mu), geometric_series(q, c.lam))
     tail = poly_mul(geometric_series(p, q - c.mu), geometric_series(q, p - c.lam))
@@ -113,7 +86,7 @@ def ldiagram_render(p: int, q: int) -> str:
     """Text grid of the residues a*p + b*q (mod pq), p rows by q columns,
     bottom row b = 0, with the vertical cut before column mu and the
     horizontal cut above row lam - 1; '+' marks the crossing."""
-    c = crt_corner(p, q)
+    c = staircase_corner(p, q, 1)
     n = p * q
     width = len(str(n - 1))
     lines = []
@@ -129,7 +102,7 @@ def ldiagram_render(p: int, q: int) -> str:
 def ldiagram_json(p: int, q: int) -> dict:
     """Same grid as structured data; residues[b][a] with b = 0 the bottom
     row."""
-    c = crt_corner(p, q)
+    c = staircase_corner(p, q, 1)
     n = p * q
     residues = [[(a * p + b * q) % n for a in range(q)] for b in range(p)]
     return {"rows": p, "cols": q, "residues": residues, "mu": c.mu, "lambda": c.lam}
@@ -145,18 +118,20 @@ def prefix_truncation(f: IntPolynomial, b: int) -> IntPolynomial:
 def mod_phi_reduce(t: LaurentPolynomial | IntPolynomial, n: int) -> IntPolynomial:
     """Unique representative of degree < deg phi(n) congruent to t. Since
     x^n = 1 holds modulo phi(n), exponents fold mod n first (this also
-    absorbs negative exponents), then one monic remainder finishes."""
+    absorbs negative exponents), then one monic remainder finishes. An
+    input of degree below n with no offset skips the fold: the remainder
+    alone is cheaper there."""
     if n < 2:
         raise ValueError("modulus index must be at least 2")
     if isinstance(t, IntPolynomial):
         offset, coeffs = 0, t.coeffs
     else:
         offset, coeffs = t.offset, t.body.coeffs
-    folded = [0] * n
-    for i, c in enumerate(coeffs):
-        if c:
-            folded[(offset + i) % n] += c
-    return poly_mod_monic(poly(folded), phi(n))
+    if offset or len(coeffs) > n:
+        sums = [sum(coeffs[r::n]) for r in range(n)]
+        s = offset % n
+        coeffs = sums[n - s :] + sums[: n - s]
+    return poly_mod_monic(poly(coeffs), phi(n))
 
 
 def forbidden_binomial(
@@ -169,7 +144,7 @@ def forbidden_binomial(
     if a < 0 or b < 0 or a >= b:
         raise BadExponents(f"need 0 <= a < b, got a={a}, b={b}")
     binom = poly_add(monomial(a), monomial(b, sign))
-    product = poly_mul(binom, binary_phi_explicit(p, q))
+    product = poly_mul(binom, staircase_multiple(p, q, 1))
     if poly_height(product) <= 1:
         return (False, None)
     witness = next(i for i, c in enumerate(product.coeffs) if abs(c) >= 2)

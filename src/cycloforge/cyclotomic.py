@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
-from math import gcd
+from itertools import accumulate, combinations
+from math import gcd, prod
 
 from . import _numtheory as nt
 from .errors import RemainderNonzero
@@ -95,6 +95,32 @@ def _div_xd_minus_1(c: list[int], d: int) -> list[int]:
     return out
 
 
+def signed_subset_product(
+    parts: tuple[int, ...], include_full: bool = True, flip: bool = False
+) -> IntPolynomial:
+    """Inclusion-exclusion product over pairwise-coprime parts: one binomial
+    x^d - 1 per subset (the full set only with include_full), d the product
+    of the subset, signed + when the complement has even size (the other
+    way round with flip). Over the primes of m this is phi(m)."""
+    # Multiply every positively-signed binomial first, then exact-divide by
+    # the negative ones in increasing degree order; the division kernel's
+    # remainder check doubles as a self-test.
+    k = len(parts)
+    plus: list[int] = []
+    minus: list[int] = []
+    for r in range(k + 1 if include_full else k):
+        positive = ((k - r) % 2 == 0) ^ flip
+        bucket = plus if positive else minus
+        for combo in combinations(parts, r):
+            bucket.append(prod(combo))
+    out = [1]
+    for d in sorted(plus, reverse=True):
+        out = _mul_xd_minus_1(out, d)
+    for d in sorted(minus):
+        out = _div_xd_minus_1(out, d)
+    return IntPolynomial(tuple(out))
+
+
 def _series_accumulate(c: list[int], period: int) -> None:
     # in place: c *= (1 + x^period + x^(2 period) + ...), truncated to len(c)
     for r in range(period):
@@ -105,22 +131,8 @@ def _series_accumulate(c: list[int], period: int) -> None:
 # the four algorithms (each takes the squarefree radical m >= 2)
 
 
-def _phi_mobius_list(m: int) -> list[int]:
-    # product of (x^(m/d) - 1)^mobius(d) over divisors d of m
-    pos: list[int] = []
-    neg: list[int] = []
-    for d in nt.divisors(m):
-        mu = nt.mobius(d)
-        if mu == 1:
-            pos.append(m // d)
-        elif mu == -1:
-            neg.append(m // d)
-    cur = [1]
-    for e in sorted(pos, reverse=True):
-        cur = _mul_xd_minus_1(cur, e)
-    for e in sorted(neg):
-        cur = _div_xd_minus_1(cur, e)
-    return cur
+def _phi_mobius(m: int) -> IntPolynomial:
+    return signed_subset_product(tuple(p for p, _ in nt.factorize(m)))
 
 
 def _phi_recursive(m: int) -> IntPolynomial:
@@ -245,8 +257,9 @@ def _prim_rem(a: list[int], b: list[int]) -> list[int]:
     return _primitive(rem)
 
 
-def _poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
-    # primitive polynomial gcd over the integers (primitive PRS)
+def poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two coefficient lists over the integers (primitive
+    PRS), normalised to a positive leading coefficient."""
     a, b = _primitive(list(a)), _primitive(list(b))
     if len(a) < len(b):
         a, b = b, a
@@ -263,7 +276,7 @@ def _phi_gcd(m: int, n: int) -> IntPolynomial:
     gens = [geometric_series(m // p, p) for p in primes]
     cur = list(gens[0].coeffs)
     for g in gens[1:]:
-        cur = _poly_gcd_int(cur, list(g.coeffs))
+        cur = poly_gcd_int(cur, list(g.coeffs))
     if cur[-1] != 1:
         raise RemainderNonzero("gcd route produced a non-monic result")
     return IntPolynomial(tuple(cur))
@@ -279,7 +292,7 @@ def _default_radical_phi(m: int) -> IntPolynomial:
     order = sum(1 for p, _ in nt.factorize(m) if p != 2)
     if order >= 2:
         return IntPolynomial(_phi_psi_sparse(m)[0])
-    return IntPolynomial(tuple(_phi_mobius_list(m)))
+    return _phi_mobius(m)
 
 
 @lru_cache(maxsize=512)
@@ -306,7 +319,7 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     if m == 1:
         return _X_MINUS_1
     if alg is PhiAlgorithm.MobiusProduct:
-        base = IntPolynomial(tuple(_phi_mobius_list(m)))
+        base = _phi_mobius(m)
     elif alg is PhiAlgorithm.RecursiveQuotient:
         base = _phi_recursive(m)
     elif alg is PhiAlgorithm.SparseSeries:

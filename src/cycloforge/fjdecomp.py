@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
+from typing import Iterator
 
 from ._numtheory import factorize, is_prime, totient
+from .binary_structure import mod_phi_reduce
 from .cyclotomic import phi, psi
 from .errors import (
     HypothesisViolated,
@@ -33,7 +35,6 @@ from .intpoly import (
     laurent,
     poly_add,
     poly_exact_div,
-    poly_mod_monic,
     poly_mul,
     poly_sub,
     substitute_power,
@@ -120,7 +121,7 @@ def bezout_split(n: int, p: int) -> BezoutSplit:
     if n % p == 0:
         raise NotCoprimeIndex(f"{p} divides {n}")
     f = phi(n * p)
-    rem = poly_mod_monic(f, phi(n))
+    rem = mod_phi_reduce(f, n)
     scaled = []
     for c in rem.coeffs:
         if c % p:
@@ -196,6 +197,12 @@ def fstar_family(n: int, p: int) -> list[IntPolynomial]:
     """The n reduced shifts of member 0: entry j is the representative of
     x^j * member_0 modulo phi(n) with degree below the totient. As a set
     this equals the first n members of the direct family."""
+    return list(fstar_shifts(n, p))
+
+
+def fstar_shifts(n: int, p: int) -> Iterator[IntPolynomial]:
+    """The entries of fstar_family(n, p), one at a time, so a caller that
+    folds them holds one entry of phi(n)'s degree rather than all n."""
     if n < 1:
         raise ValueError("need n >= 1")
     if not is_prime(p):
@@ -209,19 +216,18 @@ def fstar_family(n: int, p: int) -> list[IntPolynomial]:
         f0 = f0_fast(tuple(q for q, _ in fac), p) if n > 1 else extract_residue(phi(p), p, 0)
     else:
         f0 = extract_residue(phi(n * p), p, 0)
+    yield f0
     # Each shift is one pass over phi(n)'s coefficients: multiply by x,
     # then cancel the degree-tot term by subtracting lead * phi(n).
     base = phi(n).coeffs
     tot = len(base) - 1
-    out = [f0]
     cur = list(f0.coeffs) + [0] * (tot - len(f0.coeffs))
     for _ in range(1, n):
         lead = cur[-1]
         cur = [0] + cur[:-1]
         if lead:
             cur = [c - lead * b for c, b in zip(cur, base)]
-        out.append(IntPolynomial(tuple(cur)))
-    return out
+        yield IntPolynomial(tuple(cur))
 
 
 def fj_constant_terms(n: int) -> list[int]:

@@ -16,11 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
+from typing import Iterator
 
 from ._numtheory import factorize, is_prime, primes_up_to
 from .cyclotomic import phi
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
-from .fjdecomp import fstar_family
+from .fjdecomp import fstar_shifts
 from .intpoly import IntPolynomial, coeff_set, poly_height, substitute_neg
 from .pseudocyclo import pseudo_phi
 
@@ -45,11 +46,12 @@ def _check_multiplier(multiplier: int, factors) -> None:
         raise ValueError("multiplier may only repeat given primes or powers of 2")
 
 
-def _shift_family(odd: tuple[int, ...]) -> list[IntPolynomial] | None:
+def _shift_family(odd: tuple[int, ...]) -> Iterator[IntPolynomial] | None:
     """The reduced shift family of the top prime p over the product n of
-    the other primes, when p > n and building it is estimated cheaper
-    than expanding phi(n*p); None otherwise. The union of the coefficient
-    sets of its n entries, plus 0, is the coefficient set of phi(n*p)."""
+    the other primes, streamed entry by entry, when p > n and building it
+    is estimated cheaper than expanding phi(n*p); None otherwise. The
+    union of the coefficient sets of its n entries, plus 0, is the
+    coefficient set of phi(n*p)."""
     if not odd:
         return None
     p = max(odd)
@@ -65,7 +67,7 @@ def _shift_family(odd: tuple[int, ...]) -> list[IntPolynomial] | None:
     direct_cost = tot * (p - 1)
     if route_cost >= direct_cost:
         return None
-    return fstar_family(n, p)
+    return fstar_shifts(n, p)
 
 
 def height_of(factors, multiplier: int = 1) -> int:
@@ -94,7 +96,10 @@ def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
         return coeff_set(substitute_neg(phi(m)))
     family = _shift_family(odd)
     if family is not None:
-        return set().union(*map(coeff_set, family))
+        out = {0}
+        for f in family:
+            out.update(f.coeffs)
+        return out
     return coeff_set(phi(m))
 
 
@@ -256,8 +261,9 @@ SCAN_TAGS = (
 _COFACTOR = {3: 15, 4: 105, 5: 1155}
 
 
-def _prime_tuples(k: int, lo: int, hi: int):
-    # squarefree products of k distinct odd primes, lo <= product <= hi
+def prime_tuples(k: int, lo: int, hi: int):
+    """(product, primes) for k distinct odd primes, lo <= product <= hi,
+    for k in 3..5."""
     cap = hi // _COFACTOR[k]
     if cap < 3:
         return
@@ -279,10 +285,11 @@ def _prime_tuples(k: int, lo: int, hi: int):
     yield from rec(0, (), 1)
 
 
-def _coprime_tuples3(lo: int, hi: int, odd_only: bool = False):
-    # pairwise coprime p < q < r with lo <= pqr <= hi. The ternary scans
-    # use odd parts only: a part of 2 turns the polynomial into a sign
-    # flip of a flat binary one while every mod-2 congruence degenerates.
+def coprime_tuples3(lo: int, hi: int, odd_only: bool = False):
+    """(pqr, (p, q, r)) for pairwise coprime p < q < r with lo <= pqr <= hi."""
+    # The ternary scans use odd parts only: a part of 2 turns the polynomial
+    # into a sign flip of a flat binary one while every mod-2 congruence
+    # degenerates.
     step = 2 if odd_only else 1
     p = 3 if odd_only else 2
     while p * (p + step) * (p + 2 * step) <= hi:
@@ -378,9 +385,9 @@ def _scan_chunk(desc: tuple) -> tuple:
 
     if tag in ("notflat", "pseudonotflat"):
         source = (
-            _coprime_tuples3(lo, hi, odd_only=True)
+            coprime_tuples3(lo, hi, odd_only=True)
             if pseudo
-            else _prime_tuples(3, lo, hi)
+            else prime_tuples(3, lo, hi)
         )
         for n, (p, q, r) in source:
             if height((p, q, r)) == 1 and not congruence_ok(p, q, r):
@@ -394,9 +401,9 @@ def _scan_chunk(desc: tuple) -> tuple:
                 )
     elif tag in ("broadhurst3", "pseudobroadhurst3"):
         source = (
-            _coprime_tuples3(lo, hi, odd_only=True)
+            coprime_tuples3(lo, hi, odd_only=True)
             if pseudo
-            else _prime_tuples(3, lo, hi)
+            else prime_tuples(3, lo, hi)
         )
         for n, (p, q, r) in source:
             if height((p, q, r)) != 1:
@@ -425,7 +432,7 @@ def _scan_chunk(desc: tuple) -> tuple:
                     }
                 )
     elif tag == "pqrsallflat":
-        for n, (p, q, r, s) in _prime_tuples(4, lo, hi):
+        for n, (p, q, r, s) in prime_tuples(4, lo, hi):
             if height((p, q, r, s)) != 1:
                 continue
             pq, pqr = p * q, p * q * r
@@ -456,7 +463,7 @@ def _scan_chunk(desc: tuple) -> tuple:
                     }
                 )
     elif tag == "pqrstnotflat":
-        for n, quint in _prime_tuples(5, lo, hi):
+        for n, quint in prime_tuples(5, lo, hi):
             if height(quint) == 1:
                 hits.append(
                     {
@@ -556,20 +563,25 @@ class HeightCache:
         self.hits[key] = hits
         if self.path is None:
             return
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for r in fresh:
-                fh.write(json.dumps(r) + "\n")
-            for h in hits:
-                fh.write(
-                    json.dumps(
-                        {"hit": h, "conjecture": tag, "bound": bound, "chunk": [lo, hi]}
-                    )
-                    + "\n"
-                )
-            fh.write(
-                json.dumps({"chunk_done": [lo, hi], "conjecture": tag, "bound": bound})
-                + "\n"
-            )
+        lines = [json.dumps(r) for r in fresh]
+        lines += [
+            json.dumps({"hit": h, "conjecture": tag, "bound": bound, "chunk": [lo, hi]})
+            for h in hits
+        ]
+        lines.append(
+            json.dumps({"chunk_done": [lo, hi], "conjecture": tag, "bound": bound})
+        )
+        payload = "".join(line + "\n" for line in lines).encode("utf-8")
+        # One write per chunk, so a crash tears at most the chunk in flight.
+        # A torn last line from an earlier crash is terminated first, so the
+        # chunk's first record is not glued onto it and lost.
+        with open(self.path, "a+b") as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    payload = b"\n" + payload
+            fh.write(payload)
 
 
 @dataclass

@@ -142,13 +142,34 @@ def poly_mul_scalar(a: IntPolynomial, c: int) -> IntPolynomial:
     return IntPolynomial(tuple(v * c for v in a.coeffs))
 
 
-def _divisor_plan(bl: tuple[int, ...]) -> tuple[list[tuple[int, int]], bool]:
-    # Lower part of the divisor (leading term handled separately), plus a
-    # flag choosing slice updates (dense) over pair updates (sparse).
-    lower = bl[:-1]
+def _long_divide(rem: list[int], bl: tuple[int, ...]) -> list[int]:
+    # Divides rem by the nonzero divisor bl in place, leaving the remainder
+    # in rem[:len(bl) - 1], and returns the quotient. Raises RemainderNonzero
+    # when the divisor's leading coefficient does not divide a term. Dense
+    # divisors update by slices, sparse ones by their nonzero pairs.
+    db = len(bl) - 1
+    blead = bl[-1]
+    lower = bl[:db]
     pairs = [(j, v) for j, v in enumerate(lower) if v]
-    dense = len(pairs) * 3 >= len(lower)
-    return pairs, dense
+    dense = db and len(pairs) * 3 >= db
+    q = [0] * max(0, len(rem) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + db]
+        if c == 0:
+            continue
+        if blead != 1:
+            if c % blead:
+                raise RemainderNonzero("leading coefficient does not divide")
+            c //= blead
+        q[i] = c
+        rem[i + db] = 0
+        if dense:
+            seg = rem[i : i + db]
+            rem[i : i + db] = [u - c * v for u, v in zip(seg, lower)]
+        else:
+            for j, v in pairs:
+                rem[i + j] -= c * v
+    return q
 
 
 def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -157,30 +178,11 @@ def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         raise DivisionByZero("division by the zero polynomial")
     if not a.coeffs:
         return ZERO
-    bl = b.coeffs
-    db = len(bl) - 1
+    db = len(b.coeffs) - 1
     if len(a.coeffs) - 1 < db:
         raise RemainderNonzero("divisor degree exceeds dividend degree")
-    blead = bl[-1]
     rem = list(a.coeffs)
-    q = [0] * (len(rem) - db)
-    pairs, dense = _divisor_plan(bl)
-    lower = bl[:db]
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + db]
-        if c == 0:
-            continue
-        if c % blead:
-            raise RemainderNonzero("leading coefficient does not divide")
-        c //= blead
-        q[i] = c
-        rem[i + db] = 0
-        if dense and db:
-            seg = rem[i : i + db]
-            rem[i : i + db] = [u - c * v for u, v in zip(seg, lower)]
-        else:
-            for j, v in pairs:
-                rem[i + j] -= c * v
+    q = _long_divide(rem, b.coeffs)
     if any(rem[:db]):
         raise RemainderNonzero("nonzero remainder")
     return IntPolynomial(_trim(q))
@@ -197,19 +199,7 @@ def poly_mod_monic(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if len(a.coeffs) - 1 < db:
         return a
     rem = list(a.coeffs)
-    pairs, dense = _divisor_plan(bl)
-    lower = bl[:db]
-    for i in range(len(rem) - 1 - db, -1, -1):
-        c = rem[i + db]
-        if c == 0:
-            continue
-        rem[i + db] = 0
-        if dense and db:
-            seg = rem[i : i + db]
-            rem[i : i + db] = [u - c * v for u, v in zip(seg, lower)]
-        else:
-            for j, v in pairs:
-                rem[i + j] -= c * v
+    _long_divide(rem, bl)
     return IntPolynomial(_trim(rem[:db]))
 
 

@@ -15,7 +15,7 @@ from math import gcd, prod
 from typing import Iterable, Union
 
 from ._numtheory import divisors
-from .cyclotomic import CycloIndex, _div_xd_minus_1, _mul_xd_minus_1
+from .cyclotomic import CycloIndex, signed_subset_product
 from .errors import NotCoprime
 from .intpoly import ONE, IntPolynomial
 
@@ -59,38 +59,18 @@ def _coerce(parts: PartsLike) -> PseudoParts:
     return PseudoParts(tuple(parts))
 
 
-def _signed_subset_product(ps: tuple[int, ...], include_full: bool, flip: bool) -> IntPolynomial:
-    # Multiply every positively-signed binomial x^d - 1 first, then
-    # exact-divide by the negative ones in increasing degree order; the
-    # division kernel's remainder check doubles as a self-test.
-    k = len(ps)
-    plus: list[int] = []
-    minus: list[int] = []
-    for r in range(k + 1 if include_full else k):
-        positive = ((k - r) % 2 == 0) ^ flip
-        bucket = plus if positive else minus
-        for combo in combinations(ps, r):
-            bucket.append(prod(combo))
-    out = [1]
-    for d in sorted(plus, reverse=True):
-        out = _mul_xd_minus_1(out, d)
-    for d in sorted(minus):
-        out = _div_xd_minus_1(out, d)
-    return IntPolynomial(tuple(out))
-
-
 def pseudo_phi(parts: PartsLike) -> IntPolynomial:
     """Signed-subset product; degree is the product of (p_i - 1)."""
     ps = _coerce(parts).canonical
     if 1 in ps:
         return ONE
-    return _signed_subset_product(ps, include_full=True, flip=False)
+    return signed_subset_product(ps)
 
 
 def pseudo_psi(parts: PartsLike) -> IntPolynomial:
     """Cofactor: pseudo_phi(parts) * pseudo_psi(parts) = x^(product) - 1."""
     ps = _coerce(parts).canonical
-    return _signed_subset_product(ps, include_full=False, flip=True)
+    return signed_subset_product(ps, include_full=False, flip=True)
 
 
 def pseudo_factorization(parts: PartsLike) -> list[CycloIndex]:

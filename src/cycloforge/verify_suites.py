@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from ._numtheory import factorize, primes_up_to, totient
-from .binary_structure import binary_phi_explicit, staircase_multiple
-from .cyclotomic import _poly_gcd_int, phi
+from .binary_structure import mod_phi_reduce, staircase_multiple
+from .cyclotomic import phi, poly_gcd_int
 from .errors import UnknownSuite
 from .fjdecomp import (
     PeriodicityRelation,
@@ -26,11 +26,11 @@ from .fjdecomp import (
 )
 from .flatness import (
     VerdictStatus,
-    _coprime_tuples3,
-    _prime_tuples,
     classify,
     coefficient_set_of,
+    coprime_tuples3,
     height_of,
+    prime_tuples,
     scan,
 )
 from .intpoly import (
@@ -41,7 +41,6 @@ from .intpoly import (
     poly,
     poly_add,
     poly_height,
-    poly_mod_monic,
     poly_mul,
     poly_mul_scalar,
     poly_sub,
@@ -144,7 +143,7 @@ def _run_binary(limit: int) -> list[PropertyResult]:
     count = 0
     for p, q in _coprime_pairs(min(limit, 5000)):
         count += 1
-        if binary_phi_explicit(p, q) != pseudo_phi([p, q]):
+        if staircase_multiple(p, q, 1) != pseudo_phi([p, q]):
             expl_bad.append((p, q))
     out.append(_result("binary", "explicit-form", expl_bad, f"{count} coprime pairs"))
 
@@ -185,7 +184,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         base = phi(n)
         split = bezout_split(n, p)
         for j, (fjp, gjp) in enumerate(zip(fam.members, gj_family(split))):
-            if poly_mod_monic(poly_sub(fjp, gjp), base) != ZERO:
+            if mod_phi_reduce(poly_sub(fjp, gjp), n) != ZERO:
                 fails["f-equals-g"].append((n, p, j))
                 break
         if p > n:
@@ -316,7 +315,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
         gens = _pseudo_generators(parts)
         g = gens[0]
         for h in gens[1:]:
-            g = _poly_gcd_int(g, h)
+            g = poly_gcd_int(g, h)
         if poly(g) != f:
             gcd_bad.append(parts)
     out.append(
@@ -330,7 +329,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
 
     r2_bad = []
     count = 0
-    for _, (p, q, r) in _coprime_tuples3(1, r2_limit):
+    for _, (p, q, r) in coprime_tuples3(1, r2_limit):
         pq = p * q
         if r % pq not in (2, pq - 2):
             continue
@@ -354,7 +353,7 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
     triples = 0
     definite = 0
     bigtop = 0
-    for n, (p, q, r) in _prime_tuples(3, 1, limit):
+    for n, (p, q, r) in prime_tuples(3, 1, limit):
         triples += 1
         f = phi(n)
         h = poly_height(f)

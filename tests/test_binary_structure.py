@@ -5,11 +5,9 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycloforge._numtheory import primes_up_to
 from cycloforge.binary_structure import (
-    LCorner,
     StaircaseCorner,
-    binary_phi_explicit,
-    crt_corner,
     forbidden_binomial,
     ldiagram_json,
     ldiagram_render,
@@ -45,19 +43,19 @@ DIAGRAM_2_3 = """\
 0 2 | 4"""
 
 
-def test_crt_corner_golden():
-    assert crt_corner(3, 5) == LCorner(3, 5, 2, 2)
-    assert crt_corner(5, 7) == LCorner(5, 7, 3, 3)
-    assert crt_corner(2, 3) == LCorner(2, 3, 2, 1)
+def test_unit_corner_golden():
+    assert staircase_corner(3, 5, 1) == StaircaseCorner(3, 5, 1, 2, 2)
+    assert staircase_corner(5, 7, 1) == StaircaseCorner(5, 7, 1, 3, 3)
+    assert staircase_corner(2, 3, 1) == StaircaseCorner(2, 3, 1, 2, 1)
     with pytest.raises(NotCoprime):
-        crt_corner(4, 6)
+        staircase_corner(4, 6, 1)
     with pytest.raises(ValueError):
-        crt_corner(1, 5)
+        staircase_corner(1, 5, 1)
 
 
 def test_corner_types_validate():
     with pytest.raises(ValueError):
-        LCorner(3, 5, 1, 2)  # identity fails
+        StaircaseCorner(3, 5, 1, 1, 2)  # identity fails
     with pytest.raises(ValueError):
         StaircaseCorner(3, 5, 2, 1, 1)
     StaircaseCorner(3, 5, 2, 4, 1)
@@ -65,10 +63,10 @@ def test_corner_types_validate():
         StaircaseCorner(3, 5, 9, 4, 1)
 
 
-def test_binary_phi_explicit_golden():
-    assert binary_phi_explicit(3, 5) == phi(15)
-    assert binary_phi_explicit(5, 7) == phi(35)
-    assert binary_phi_explicit(2, 9) == pseudo_phi([2, 9])
+def test_unit_staircase_golden():
+    assert staircase_multiple(3, 5, 1) == phi(15)
+    assert staircase_multiple(5, 7, 1) == phi(35)
+    assert staircase_multiple(2, 9, 1) == pseudo_phi([2, 9])
 
 
 def test_binary_phi_matches_pseudo_widely():
@@ -77,18 +75,17 @@ def test_binary_phi_matches_pseudo_widely():
     pairs = [(p, q) for p in range(2, 30) for q in range(p + 1, 70)
              if gcd(p, q) == 1 and p * q <= 600]
     for p, q in pairs:
-        assert binary_phi_explicit(p, q) == pseudo_phi([p, q]), (p, q)
+        assert staircase_multiple(p, q, 1) == pseudo_phi([p, q]), (p, q)
 
 
 def test_sign_alternation():
     for p, q in ((3, 5), (5, 7), (2, 9), (11, 13), (4, 9)):
-        signs = [c for c in binary_phi_explicit(p, q).coeffs if c]
+        signs = [c for c in staircase_multiple(p, q, 1).coeffs if c]
         assert signs[0] == 1 and signs[-1] == 1, (p, q)
         assert all(a == -b for a, b in zip(signs, signs[1:])), (p, q)
 
 
 def test_staircase_golden():
-    assert staircase_multiple(3, 5, 1) == binary_phi_explicit(3, 5)
     assert staircase_multiple(3, 5, 2) == poly([1, 0, -1, 1, 0, 0, 1, -1, 0, 1])
     with pytest.raises(LOutOfRange):
         staircase_multiple(3, 5, 8)
@@ -102,7 +99,7 @@ def test_staircase_identity_and_flat():
     pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 40)
              if gcd(p, q) == 1 and p * q <= 300]
     for p, q in pairs:
-        base = binary_phi_explicit(p, q)
+        base = pseudo_phi([p, q])
         for l in range(1, p + q):
             s = staircase_multiple(p, q, l)
             assert s == poly_mul(geometric_series(1, l), base), (p, q, l)
@@ -157,6 +154,15 @@ def test_mod_phi_reduce_golden():
     assert mod_phi_reduce(laurent(-1, [1]), 15) == want
     with pytest.raises(ValueError):
         mod_phi_reduce(monomial(1), 1)
+
+
+def test_mod_phi_reduce_matches_long_division():
+    # folding exponents mod n, against the long division of all of phi(np)
+    for n in range(2, 61):
+        for p in primes_up_to(100):
+            if n % p:
+                f = phi(n * p)
+                assert mod_phi_reduce(f, n) == poly_mod_monic(f, phi(n)), (n, p)
 
 
 def test_mod_phi_reduce_properties():

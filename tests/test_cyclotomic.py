@@ -85,6 +85,14 @@ def test_four_algorithms_agree_sample():
         assert all(v == vals[0] for v in vals), n
 
 
+def test_mobius_matches_sparse_grid():
+    # the inclusion-exclusion route against the sparse series, squarefree
+    # or not, up to order 5
+    for m in [*range(1, 700), 1155, 2310, 3003, 4199, 5005, 15015, 45045]:
+        mobius = phi(m, PhiAlgorithm.MobiusProduct)
+        assert mobius == phi(m, PhiAlgorithm.SparseSeries), m
+
+
 def test_gcd_alg_limit():
     with pytest.raises(ValueError):
         phi(5001, PhiAlgorithm.GcdOfSparse)

@@ -5,6 +5,7 @@ through the polynomial layer, which the classifier never calls.
 """
 
 import json
+import tracemalloc
 from collections import Counter
 from math import prod
 
@@ -18,10 +19,10 @@ from cycloforge.flatness import (
     HeightCache,
     VerdictStatus,
     _chain4_targets,
-    _prime_tuples,
     classify,
     coefficient_set_of,
     height_of,
+    prime_tuples,
     report_csv_rows,
     scan,
 )
@@ -99,9 +100,9 @@ def test_bigtop_route_matches_expansion_grid():
 
 def test_bigtop_route_edge_cases(monkeypatch):
     calls = []
-    real = flatness.fstar_family
+    real = flatness.fstar_shifts
     monkeypatch.setattr(
-        flatness, "fstar_family", lambda n, p: calls.append((n, p)) or real(n, p)
+        flatness, "fstar_shifts", lambda n, p: calls.append((n, p)) or real(n, p)
     )
     cases = [
         ((3, 5, 151), {-1, 0, 1}),  # w = 1
@@ -128,7 +129,7 @@ def test_bigtop_router_keeps_costly_route_off(monkeypatch):
     def refuse(n, p):
         raise AssertionError("routed")
 
-    monkeypatch.setattr(flatness, "fstar_family", refuse)
+    monkeypatch.setattr(flatness, "fstar_shifts", refuse)
     assert height_of((7, 11, 13, 9007)) == 7
 
 
@@ -136,6 +137,19 @@ def test_bigtop_route_beyond_expansion_reach():
     # phi(1155 * 1000033) has degree 4.8e8; its periodicity partner
     # 2113 = 1000033 (mod 1155) is small enough to expand
     assert height_of((3, 5, 7, 11, 1000033)) == 46 == poly_height(phi(1155 * 2113))
+
+
+def test_bigtop_route_streams_the_shifts():
+    # the 1155 shifts of (3*5*7*11, 25411) hold 554 400 coefficients; kept
+    # as a list they peak above 3.5 MB
+    tracemalloc.start()
+    try:
+        h = height_of((3, 5, 7, 11, 25411))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 9
+    assert peak < 1_000_000
 
 
 def test_classify_golden_verdicts():
@@ -205,7 +219,7 @@ def test_regression_609_not_flat():
 
 def test_classifier_agrees_with_brute_below_6000():
     seen = Counter()
-    for n, (p, q, r) in _prime_tuples(3, 1, 6000):
+    for n, (p, q, r) in prime_tuples(3, 1, 6000):
         v = classify((p, q, r))
         h = poly_height(phi(n))
         seen[v.status] += 1
@@ -307,6 +321,20 @@ def test_scan_journal_resume(tmp_path):
     rep4 = scan("notflat", 5000, cache=str(journal), chunk_width=1000)
     assert rep4.counterexamples == []
     assert journal.stat().st_size > before
+
+
+def test_scan_journal_torn_tail_keeps_hits(tmp_path):
+    # a crash mid-write leaves a torn last line; the next chunk must not be
+    # glued onto it, or its hit is lost while its chunk marker survives
+    journal = str(tmp_path / "cache.jsonl")
+    scan("height_drop_p3", 5000, cache=journal)
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write('{"n": 99, "factors": [3')
+    first = scan("height_drop_p3", 4999, cache=journal, chunk_width=5000)
+    again = scan("height_drop_p3", 4999, cache=journal, chunk_width=5000)
+    assert [r["n"] for r in first.counterexamples] == [4745]
+    assert again.counterexamples == first.counterexamples
+    assert again.complete
 
 
 def test_scan_workers_pool_matches_inline():

@@ -7,9 +7,10 @@ worked out independently) before the implementation was written.
 import pytest
 from hypothesis import given, strategies as st
 
-from cycloforge.errors import IndexOutOfRange, RemainderNonzero
+from cycloforge.errors import DivisionByZero, IndexOutOfRange, RemainderNonzero
 from cycloforge.intpoly import (
     NEG_INF,
+    ONE,
     ZERO,
     IntPolynomial,
     LaurentPolynomial,
@@ -27,6 +28,7 @@ from cycloforge.intpoly import (
     poly_height,
     poly_mod_monic,
     poly_mul,
+    poly_mul_scalar,
     poly_sub,
     substitute_neg,
     substitute_power,
@@ -88,6 +90,34 @@ def test_mod_monic():
     r = poly_mod_monic(monomial(8), PHI15)
     assert r == poly([-1, 1, 0, -1, 1, -1, 0, 1])
     assert poly_mod_monic(monomial(3), PHI15) == monomial(3)
+
+
+def test_division_front_ends_errors():
+    for divide in (poly_exact_div, poly_mod_monic):
+        with pytest.raises(DivisionByZero):
+            divide(poly([1, 1]), ZERO)
+    with pytest.raises(RemainderNonzero):
+        poly_exact_div(poly([1, 1]), poly([1, 1, 1]))
+    with pytest.raises(ValueError):
+        poly_mod_monic(poly([1, 2, 3]), poly([1, 2]))
+    with pytest.raises(ValueError):
+        poly_mod_monic(poly([1]), poly([1, 0, 2]))
+
+
+def test_division_front_ends_agree():
+    # a = q*b + r with deg r < deg b: exact division of a - r recovers q and
+    # the monic remainder of a recovers r, for dense and sparse divisors
+    sparse = [poly([-1] + [0] * 9 + [1]), poly([5, 0, 0, 0, 0, 0, 1])]
+    quotients = [poly([3, -1, 0, 2]), PSI15, monomial(20, -7), ONE]
+    for b in [PHI15, PHI35, *sparse, ONE]:
+        b3 = poly_mul_scalar(b, 3)
+        for q in quotients:
+            r = poly(range(1, len(b.coeffs)))
+            a = poly_add(poly_mul(q, b), r)
+            assert poly_mod_monic(a, b) == r, (b, q)
+            assert poly_exact_div(poly_sub(a, r), b) == q, (b, q)
+            # a non-monic divisor goes through the same loop
+            assert poly_exact_div(poly_mul(q, b3), b3) == q, (b, q)
 
 
 def test_height():

@@ -119,7 +119,7 @@ def test_degree_and_values():
 
 
 def test_gcd_characterization():
-    from cycloforge.cyclotomic import _poly_gcd_int
+    from cycloforge.cyclotomic import poly_gcd_int
 
     for parts in ([2, 9], [4, 9], [3, 4, 5], [8, 9], [5, 6]):
         n = prod(parts)
@@ -129,7 +129,7 @@ def test_gcd_characterization():
         ]
         g = gens[0]
         for h in gens[1:]:
-            g = _poly_gcd_int(g, h)
+            g = poly_gcd_int(g, h)
         assert poly(g) == pseudo_phi(parts), parts
 
 
