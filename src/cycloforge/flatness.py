@@ -19,7 +19,7 @@ from math import gcd, prod
 from typing import Iterator
 
 from ._numtheory import factorize, is_prime, primes_up_to
-from .cyclotomic import phi
+from .cyclotomic import phi, phi_head, signed_subset_product
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from .fjdecomp import fstar_shifts
 from .intpoly import IntPolynomial, coeff_set, poly_height, substitute_neg
@@ -74,18 +74,21 @@ def height_of(factors, multiplier: int = 1) -> int:
     """Largest absolute coefficient. Square parts and factors of 2 never
     change it, so only the odd radical counts; a top prime beyond the
     product of the others is read off the reduced shift family when that
-    is cheaper than the expansion."""
+    is cheaper than the expansion, and otherwise half the expansion
+    suffices, since phi is palindromic."""
     odd = _odd_part_factors(factors)
     _check_multiplier(multiplier, factors)
     family = _shift_family(odd)
     if family is not None:
         return max(map(poly_height, family))
-    return poly_height(phi(prod(odd)))
+    return poly_height(phi_head(prod(odd)))
 
 
 def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
     """Exact coefficient set (always includes 0). A factor of 2 flips the
-    signs at odd exponents, which can change the set, so it is honored."""
+    signs at odd exponents, which can change the set, so it is honored.
+    The lower half of phi suffices: the degree is even, so exponents i and
+    deg - i have the same parity and the same coefficient."""
     odd = _odd_part_factors(factors)
     _check_multiplier(multiplier, factors)
     even = 2 in tuple(factors) or multiplier % 2 == 0
@@ -93,14 +96,14 @@ def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
     if even:
         if m == 1:
             return {0, 1}
-        return coeff_set(substitute_neg(phi(m)))
+        return coeff_set(substitute_neg(phi_head(m)))
     family = _shift_family(odd)
     if family is not None:
         out = {0}
         for f in family:
             out.update(f.coeffs)
         return out
-    return coeff_set(phi(m))
+    return coeff_set(phi_head(m))
 
 
 class VerdictStatus(Enum):
@@ -357,13 +360,20 @@ def _congruent_primes(modulus: int, limit: int):
         k += 1
 
 
-def _height_record(factors: tuple, pseudo: bool) -> dict:
-    f = pseudo_phi(list(factors)) if pseudo else phi(prod(factors))
+def height_record(factors: tuple, pseudo: bool) -> dict:
+    """The journal record of one scanned polynomial: phi of the product of
+    the primes, or the inclusion-exclusion polynomial of the ascending
+    parts (all > 1). Both are palindromic, so the height is read off the
+    lower half of the expansion."""
+    if pseudo:
+        head = signed_subset_product(tuple(factors), half=True)
+    else:
+        head = phi_head(prod(factors))
     return {
         "n": prod(factors),
         "factors": list(factors),
-        "degree": f.degree,
-        "height": poly_height(f),
+        "degree": prod(q - 1 for q in factors),
+        "height": poly_height(head),
     }
 
 
@@ -376,7 +386,7 @@ def _scan_chunk(desc: tuple) -> tuple:
     def height(factors: tuple) -> int:
         key = tuple(factors)
         if key not in records:
-            records[key] = _height_record(key, pseudo)
+            records[key] = height_record(key, pseudo)
         return records[key]["height"]
 
     def congruence_ok(p: int, q: int, r: int) -> bool:
@@ -511,9 +521,19 @@ def _scan_chunk(desc: tuple) -> tuple:
     return lo, hi, list(records.values()), hits
 
 
+def _chunk_key(tag: str, bound: int, lo: int, hi: int) -> tuple:
+    # Only np_stays_nonflat looks past its window (for p up to bound // n);
+    # every other tag's chunk answers the same under any bound.
+    if tag == "np_stays_nonflat":
+        return (tag, bound, lo, hi)
+    return (tag, lo, hi)
+
+
 class HeightCache:
     """JSON-lines journal: one record per polynomial plus chunk markers
-    and recorded hits. Only the scan driver writes; workers stay pure."""
+    and recorded hits. Only the scan driver writes; workers stay pure.
+    Chunks are keyed by _chunk_key, so a larger bound reuses the windows
+    a smaller one finished."""
 
     def __init__(self, path: str | None):
         self.path = path
@@ -524,6 +544,9 @@ class HeightCache:
             self._load()
 
     def _load(self) -> None:
+        # Hits are grouped under the bound they were written with, so a
+        # window finished under several bounds contributes one set of hits.
+        pending: dict[tuple, list[dict]] = {}
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -535,11 +558,13 @@ class HeightCache:
                     continue  # torn tail line after a crash
                 if "chunk_done" in obj:
                     lo, hi = obj["chunk_done"]
-                    self.chunks.add((obj["conjecture"], obj["bound"], lo, hi))
+                    key = _chunk_key(obj["conjecture"], obj["bound"], lo, hi)
+                    self.chunks.add(key)
+                    self.hits[key] = pending.pop((obj["conjecture"], obj["bound"], lo, hi), [])
                 elif "hit" in obj:
                     lo, hi = obj["chunk"]
                     key = (obj["conjecture"], obj["bound"], lo, hi)
-                    self.hits.setdefault(key, []).append(obj["hit"])
+                    pending.setdefault(key, []).append(obj["hit"])
                 elif "n" in obj:
                     self.heights[tuple(obj["factors"])] = obj
 
@@ -558,7 +583,7 @@ class HeightCache:
         fresh = [r for r in records if tuple(r["factors"]) not in self.heights]
         for r in fresh:
             self.heights[tuple(r["factors"])] = r
-        key = (tag, bound, lo, hi)
+        key = _chunk_key(tag, bound, lo, hi)
         self.chunks.add(key)
         self.hits[key] = hits
         if self.path is None:
@@ -648,7 +673,7 @@ def scan(
     descs = []
     hits: list[dict] = []
     for lo, hi in _windows(bound, chunk_width):
-        key = (conjecture, bound, lo, hi)
+        key = _chunk_key(conjecture, bound, lo, hi)
         if key in store.chunks:
             hits.extend(store.hits.get(key, []))
         else:

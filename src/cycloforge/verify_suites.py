@@ -18,7 +18,6 @@ from .errors import UnknownSuite
 from .fjdecomp import (
     PeriodicityRelation,
     bezout_split,
-    f0_fast,
     fj_family,
     fstar_family,
     gj_family,
@@ -30,6 +29,7 @@ from .flatness import (
     coefficient_set_of,
     coprime_tuples3,
     height_of,
+    height_record,
     prime_tuples,
     scan,
 )
@@ -190,9 +190,10 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         if p > n:
             if any(fam.members[j] != fam.members[j + n] for j in range(p - n)):
                 fails["exact-periodicity"].append((n, p))
-            if f0_fast(n, p) != fam.members[0]:
-                fails["f0-fast"].append((n, p))
+            # fstar_family's entry 0 is f0_fast's member 0
             stars = fstar_family(n, p)
+            if stars[0] != fam.members[0]:
+                fails["f0-fast"].append((n, p))
             for j in range(n):
                 want = poly_add(
                     poly_mul(monomial(1), stars[(j - 1) % n]),
@@ -348,8 +349,13 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
     return out
 
 
+def _head_record_ok(factors: tuple, pseudo: bool, f) -> bool:
+    rec = height_record(factors, pseudo)
+    return rec["height"] == poly_height(f) and rec["degree"] == f.degree
+
+
 def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
-    definite_bad, bound_bad, route_bad = [], [], []
+    definite_bad, bound_bad, route_bad, head_bad = [], [], [], []
     triples = 0
     definite = 0
     bigtop = 0
@@ -357,6 +363,8 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
         triples += 1
         f = phi(n)
         h = poly_height(f)
+        if not _head_record_ok((p, q, r), False, f):
+            head_bad.append((p, q, r))
         if r > p * q:
             bigtop += 1
             if height_of((p, q, r)) != h or coefficient_set_of((p, q, r)) != coeff_set(f):
@@ -379,6 +387,13 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
         aw = min(w, pq - w)
         if h > aw:
             bound_bad.append((p, q, r, h, aw))
+    # The pseudo scans' heads, on coprime triples with a part 2 and prime
+    # powers too, against the full inclusion-exclusion product.
+    pseudo = 0
+    for _, parts in coprime_tuples3(1, limit // 15):
+        pseudo += 1
+        if not _head_record_ok(parts, True, pseudo_phi(parts)):
+            head_bad.append(parts)
     return [
         _result(
             "classifier-soundness",
@@ -397,6 +412,12 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
             "bigtop-route-matches-expansion",
             route_bad,
             f"{bigtop} ternary n <= {limit} with r > pq",
+        ),
+        _result(
+            "classifier-soundness",
+            "scan-heads-match-expansion",
+            head_bad,
+            f"{triples} ternary n <= {limit}, {pseudo} coprime triples <= {limit // 15}",
         ),
     ]
 

@@ -1,24 +1,33 @@
 """Tests for the four cyclotomic algorithms and the classical reductions."""
 
+from itertools import combinations
+from math import gcd, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycloforge import cyclotomic
 from cycloforge._numtheory import mobius, totient
 from cycloforge.cyclotomic import (
     CycloIndex,
     PhiAlgorithm,
     phi,
+    phi_head,
     psi,
     radical_reduce,
+    signed_subset_product,
 )
 from cycloforge.intpoly import (
     is_reciprocal,
+    monomial,
     poly,
     poly_height,
     poly_mul,
+    poly_sub,
     substitute_neg,
     substitute_power,
 )
+from cycloforge.pseudocyclo import pseudo_phi
 
 PHI35 = poly(
     [1, -1, 0, 0, 0, 1, -1, 1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1, -1, 1, 0, 0, 0, -1, 1]
@@ -173,3 +182,101 @@ def test_three_way_differential(n):
 @given(st.integers(min_value=2, max_value=1000))
 def test_default_matches_mobius(n):
     assert phi(n) == phi(n, PhiAlgorithm.MobiusProduct)
+
+
+def _lower_half(f):
+    return poly(f.coeffs[: f.degree // 2 + 1])
+
+
+def test_phi_head_matches_full_expansion(monkeypatch):
+    # orders 1-5, with factors of 2 and square parts; the chain cache
+    # starts empty, so both the truncated last step and a head cut from a
+    # cached full entry are exercised
+    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
+    assert phi_head(1) == phi(1)
+    ns = [*range(2, 800), 1155, 2310, 3003, 4199, 5005, 15015, 45045, 2 * 3 * 5 * 7 * 11 * 13]
+    for n in ns:
+        f = phi(n)
+        assert phi_head(n) == _lower_half(f), n
+        assert poly_height(phi_head(n)) == poly_height(f), n
+
+
+def _coprime(parts):
+    return all(gcd(a, b) == 1 for a, b in combinations(parts, 2))
+
+
+def test_signed_subset_head_matches_full_expansion():
+    # pseudo tuples with a part 2, prime powers and composite parts,
+    # including (3, 4, 275), whose long periods exceed the head's length
+    pool = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 275]
+    tuples = [(3, 4, 275)]
+    for k in (1, 2, 3):
+        tuples += [c for c in combinations(pool, k) if _coprime(c) and prod(c) <= 20000]
+    tuples += [(2, 3, 5, 7), (3, 4, 5, 7), (4, 9, 5, 7), (8, 9, 25, 7)]
+    for parts in tuples:
+        f = pseudo_phi(parts)
+        assert signed_subset_product(parts, half=True) == _lower_half(f), parts
+    assert len(tuples) > 200
+
+
+def test_series_accumulate_both_passes():
+    # c * (1 + x^d + x^2d + ...) truncated, for periods on both sides of the
+    # switch between the residue and the block pass
+    base = [(7 * i * i + 3 * i) % 11 - 5 for i in range(400)]
+    for d in (1, 2, 3, 7, 12, 13, 20, 64, 199, 399, 400, 1000):
+        got = list(base)
+        cyclotomic._series_accumulate(got, d)
+        want = [sum(base[j] for j in range(i % d, i + 1, d)) for i in range(len(base))]
+        assert got == want, d
+
+
+def _noop(c, period):
+    pass
+
+
+def _last_off(c, period):
+    _REAL_ACCUMULATE(c, period)
+    c[-2] += 1
+
+
+_REAL_ACCUMULATE = cyclotomic._series_accumulate
+
+
+@pytest.mark.parametrize("broken", [_noop, _last_off])
+def test_truncated_series_self_check_fires(monkeypatch, broken):
+    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
+    cyclotomic._phi_psi_sparse(105)  # cache a prefix: only the last step breaks
+    monkeypatch.setattr(cyclotomic, "_series_accumulate", broken)
+    for n in (35, 303, 1155):
+        with pytest.raises(AssertionError, match="truncated series"):
+            phi_head(n)
+    for parts in ((3, 4, 275), (4, 9, 25)):
+        with pytest.raises(AssertionError, match="truncated series"):
+            signed_subset_product(parts, half=True)
+
+
+def test_truncated_series_mirror_check(monkeypatch):
+    # a series step that does nothing leaves phi(15)'s head lopsided
+    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
+    monkeypatch.setattr(cyclotomic, "_series_accumulate", _noop)
+    with pytest.raises(AssertionError, match="not palindromic"):
+        phi_head(15)
+
+
+def test_sparse_builds_last_psi_only_when_kept(monkeypatch):
+    calls = []
+    real = cyclotomic._psi_step
+    monkeypatch.setattr(
+        cyclotomic, "_psi_step", lambda phi_, psi_, p: calls.append(p) or real(phi_, psi_, p)
+    )
+    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
+    f = phi(1155, PhiAlgorithm.SparseSeries)
+    assert calls == [5, 7]  # the step to 1155 (p = 11) builds no psi
+    _, psi_m = cyclotomic._phi_psi_sparse(1155, use_cache=False)
+    assert calls[2:] == [5, 7, 11]
+    assert poly_mul(f, poly(psi_m)) == poly_sub(monomial(1155), poly([1]))
+    # a product the chain cache keeps gets its psi on the last step too
+    calls.clear()
+    cyclotomic._phi_psi_sparse(1155, psi_too=False)
+    assert calls == [5, 7, 11]
+    assert cyclotomic._chain_cache[1155][1] == psi_m

@@ -21,12 +21,15 @@ from cycloforge.flatness import (
     _chain4_targets,
     classify,
     coefficient_set_of,
+    coprime_tuples3,
     height_of,
+    height_record,
     prime_tuples,
     report_csv_rows,
     scan,
 )
-from cycloforge.intpoly import coeff_set, poly_height
+from cycloforge.intpoly import coeff_set, poly_height, substitute_neg
+from cycloforge.pseudocyclo import pseudo_phi
 
 # (n, A(n), A(3n)) rows that the p=3 height-drop scan must reproduce
 DROP_ROWS_BELOW_20000 = [
@@ -150,6 +153,47 @@ def test_bigtop_route_streams_the_shifts():
         tracemalloc.stop()
     assert h == 9
     assert peak < 1_000_000
+
+
+def test_even_coefficient_set_from_head():
+    # a factor of 2 negates odd exponents; the lower half still gives the
+    # set, because i and deg - i have the same parity
+    checked = 0
+    for m in range(3, 4000, 2):
+        fac = factorize(m)
+        if any(e > 1 for _, e in fac):
+            continue
+        rest = tuple(q for q, _ in fac)
+        want = coeff_set(substitute_neg(phi(m)))
+        assert coefficient_set_of(rest + (2,)) == want, m
+        assert coefficient_set_of(rest, multiplier=2) == want, m
+        checked += 1
+    assert checked > 1000
+
+
+def _full_record(factors, pseudo):
+    # the scan record as full expansion wrote it
+    f = pseudo_phi(list(factors)) if pseudo else phi(prod(factors))
+    return {
+        "n": prod(factors),
+        "factors": list(factors),
+        "degree": f.degree,
+        "height": poly_height(f),
+    }
+
+
+def test_height_record_matches_full_expansion():
+    cases = [(fs, False) for _, fs in prime_tuples(3, 1, 8000)]
+    cases += [(fs, False) for _, fs in prime_tuples(4, 1, 30000)]
+    cases += [(fs, False) for _, fs in prime_tuples(5, 1, 60000)]
+    # the drop scans' partners: 3 or 5 joins the factors
+    cases += [((3, 5, 7, 11), False), ((3, 7, 11, 13), False), ((5, 7, 11, 13), False)]
+    cases += [(fs, True) for _, fs in coprime_tuples3(1, 1500, odd_only=True)]
+    cases += [(fs, True) for _, fs in coprime_tuples3(1, 600)]
+    for factors, pseudo in cases:
+        got = height_record(factors, pseudo)
+        assert json.dumps(got) == json.dumps(_full_record(factors, pseudo)), factors
+    assert len(cases) > 1300
 
 
 def test_classify_golden_verdicts():
@@ -355,3 +399,40 @@ def test_report_csv_and_json():
     assert back["range_checked"] == [1, 5000]
     assert back["counterexamples"][0]["n"] == 4745
     assert back["complete"] is True
+
+
+def test_scan_reuses_windows_of_a_smaller_bound(monkeypatch, tmp_path):
+    computed = []
+    real = flatness._scan_chunk
+    monkeypatch.setattr(
+        flatness, "_scan_chunk", lambda desc: computed.append(desc[1:3]) or real(desc)
+    )
+    journal = str(tmp_path / "cache.jsonl")
+    scan("pqrstnotflat", 20000, cache=journal)
+    computed.clear()
+    scan("pqrstnotflat", 40000, cache=journal)
+    assert computed == [(lo, lo + 1999) for lo in range(20001, 40000, 2000)]
+    # np_stays_nonflat looks beyond its window, up to the bound, so a
+    # larger bound redoes every window
+    scan("np_stays_nonflat", 2000, cache=journal, chunk_width=500)
+    computed.clear()
+    scan("np_stays_nonflat", 4000, cache=journal, chunk_width=500)
+    assert computed == [(lo, lo + 499) for lo in range(1, 4000, 500)]
+
+
+def test_scan_journal_window_done_under_two_bounds(tmp_path):
+    # journals written before chunks were keyed without the bound hold a
+    # window once per bound; its hits must still count once
+    journal = tmp_path / "cache.jsonl"
+    scan("height_drop_p3", 5000, cache=str(journal), chunk_width=5000)
+    lines = journal.read_text().splitlines()
+    again = [
+        json.dumps({**obj, "bound": 6000})
+        for obj in map(json.loads, lines)
+        if "hit" in obj or "chunk_done" in obj
+    ]
+    journal.write_text("\n".join(lines + again) + "\n")
+    size = journal.stat().st_size
+    rep = scan("height_drop_p3", 5000, cache=str(journal), chunk_width=5000)
+    assert [r["n"] for r in rep.counterexamples] == [4745]
+    assert journal.stat().st_size == size
