@@ -79,20 +79,18 @@ def _mul_xd_minus_1(c: list[int], d: int) -> list[int]:
 
 
 def _div_xd_minus_1(c: list[int], d: int) -> list[int]:
-    # c / (x^d - 1), exact; quotient satisfies q[i] = q[i-d] - c[i], so each
-    # residue class of q is the negated running sum of that class of c.
+    # c / (x^d - 1), exact: the quotient is -c times 1 + x^d + x^(2d) + ...
+    # as a power series, and past the quotient's degree the series vanishes.
     qlen = len(c) - d
     if qlen <= 0:
         if any(c):
             raise RemainderNonzero("degree too small for exact division")
         return []
-    out = [0] * qlen
-    for r in range(d):
-        acc = list(accumulate(c[r::d]))
-        take = len(range(r, qlen, d))
-        out[r::d] = [-v for v in acc[:take]]
-        if any(acc[take:]):
-            raise RemainderNonzero("x^d - 1 does not divide")
+    out = [-v for v in c]
+    _series_accumulate(out, d)
+    if any(out[qlen:]):
+        raise RemainderNonzero("x^d - 1 does not divide")
+    del out[qlen:]
     return out
 
 

@@ -15,11 +15,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd, prod
-from typing import Iterator
+from functools import partial
+from math import prod
+from typing import Callable, Iterator, NamedTuple
 
-from ._numtheory import factorize, is_prime, primes_up_to
+from ._numtheory import is_prime
 from .cyclotomic import phi, phi_head, signed_subset_product
+from .domains import chain4, coprime_tuples, odd_primes, odd_squarefree3, prime_tuples
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from .fjdecomp import fstar_shifts
 from .intpoly import IntPolynomial, coeff_set, poly_height, substitute_neg
@@ -248,118 +250,6 @@ def classify(factors) -> Verdict:
 # conjecture scans
 
 
-SCAN_TAGS = (
-    "notflat",
-    "broadhurst3",
-    "pseudonotflat",
-    "pseudobroadhurst3",
-    "pqrsallflat",
-    "pqrs2",
-    "pqrstnotflat",
-    "np_stays_nonflat",
-    "height_drop_p3",
-    "np_monotonic_p5",
-)
-
-_COFACTOR = {3: 15, 4: 105, 5: 1155}
-
-
-def prime_tuples(k: int, lo: int, hi: int):
-    """(product, primes) for k distinct odd primes, lo <= product <= hi,
-    for k in 3..5."""
-    cap = hi // _COFACTOR[k]
-    if cap < 3:
-        return
-    ps = [p for p in primes_up_to(cap) if p != 2]
-
-    def rec(start: int, chosen: tuple, acc: int):
-        remaining = k - len(chosen)
-        if remaining == 0:
-            if acc >= lo:
-                yield acc, chosen
-            return
-        for i in range(start, len(ps)):
-            p = ps[i]
-            nxt = acc * p
-            if nxt * p ** (remaining - 1) > hi:
-                break
-            yield from rec(i + 1, chosen + (p,), nxt)
-
-    yield from rec(0, (), 1)
-
-
-def coprime_tuples3(lo: int, hi: int, odd_only: bool = False):
-    """(pqr, (p, q, r)) for pairwise coprime p < q < r with lo <= pqr <= hi."""
-    # The ternary scans use odd parts only: a part of 2 turns the polynomial
-    # into a sign flip of a flat binary one while every mod-2 congruence
-    # degenerates.
-    step = 2 if odd_only else 1
-    p = 3 if odd_only else 2
-    while p * (p + step) * (p + 2 * step) <= hi:
-        for q in range(p + step, hi // (p * (p + step)) + 1, step):
-            if gcd(p, q) != 1:
-                continue
-            if p * q * (q + step) > hi:
-                break
-            for r in range(q + step, hi // (p * q) + 1, step):
-                n = p * q * r
-                if n > hi:
-                    break
-                if n >= lo and gcd(r, p) == 1 and gcd(r, q) == 1:
-                    yield n, (p, q, r)
-        p += step
-
-
-def _order3plus_targets(lo: int, hi: int, avoid: int):
-    # squarefree odd n with at least three prime factors, coprime to avoid
-    start = max(lo, 3)
-    if start % 2 == 0:
-        start += 1
-    for n in range(start, hi + 1, 2):
-        if avoid > 1 and n % avoid == 0:
-            continue
-        fac = factorize(n)
-        if len(fac) >= 3 and all(e == 1 for _, e in fac):
-            yield n, tuple(p for p, _ in fac)
-
-
-def _chain4_targets(lo: int, hi: int):
-    # p < q odd primes with q != -1 (mod p), then primes r = +/-1 (mod pq)
-    # and s = +/-1 (mod pqr), product within [lo, hi]. The smallest legal
-    # product for a pair is pq*(pq-1)*(pq*(pq-1)-1), so pq stays tiny.
-    tmax = 3
-    while tmax * (tmax - 1) * (tmax * (tmax - 1) - 1) <= hi:
-        tmax += 1
-    ps = [x for x in primes_up_to(max(3, tmax // 3)) if x != 2]
-    for i, p in enumerate(ps):
-        for q in ps[i + 1 :]:
-            pq = p * q
-            if pq >= tmax:
-                break
-            if q % p == p - 1:
-                continue
-            for r in _congruent_primes(pq, hi // pq):
-                pqr = pq * r
-                for s in _congruent_primes(pqr, hi // pqr):
-                    n = pqr * s
-                    if lo <= n <= hi and s > r:
-                        yield n, (p, q, r, s)
-
-
-def _congruent_primes(modulus: int, limit: int):
-    # primes = +/-1 (mod modulus), at most limit, ascending
-    k = 1
-    while True:
-        below, above = k * modulus - 1, k * modulus + 1
-        if below > limit:
-            return
-        if is_prime(below):
-            yield below
-        if above <= limit and is_prime(above):
-            yield above
-        k += 1
-
-
 def height_record(factors: tuple, pseudo: bool) -> dict:
     """The journal record of one scanned polynomial: phi of the product of
     the primes, or the inclusion-exclusion polynomial of the ascending
@@ -377,154 +267,139 @@ def height_record(factors: tuple, pseudo: bool) -> dict:
     }
 
 
+def _hit(
+    n: int, factors: tuple, heights: list, verdict: str, p: int | None = None
+) -> dict:
+    rec = {"n": n, "factors": list(factors)}
+    if p is not None:
+        rec["p"] = p
+    rec["heights"] = heights
+    rec["verdict"] = verdict
+    return rec
+
+
+# Each test takes a domain item (n, factors), the chunk's memoised height
+# function and the scan bound, and yields the item's hits.
+
+
+def _flat_off_congruence(n, fs, height, bound):
+    p, q, r = fs
+    pq = p * q
+    if height(fs) == 1 and not (q % p in (1, p - 1) or r % pq in (1, pq - 1)):
+        yield _hit(n, fs, [1], "flat without q=+/-1 (mod p) or r=+/-1 (mod pq)")
+
+
+def _broadhurst_fails(n, fs, height, bound, pseudo: bool):
+    p, q, r = fs
+    if height(fs) != 1:
+        return
+    pq = p * q
+    wr = r % pq
+    w = min(wr, pq - wr)
+    if w == 0 or (p - 1) % w == 0:
+        return
+    ok = w > p and q > p * p - p and q % p in (1, p - 1) and w % p in (1, p - 1)
+    if ok and w % p == 1:
+        bad = q % (w * p) == 1 if pseudo else q % (w * p) in (1, w * p - 1)
+        ok = not bad
+    if not ok:
+        verdict = f"flat with w={w}, p!=1 (mod w), but a stated conclusion fails"
+        yield _hit(n, fs, [1], verdict)
+
+
+def _flat_off_chain(n, fs, height, bound):
+    p, q, r, s = fs
+    pq, pqr = p * q, p * q * r
+    chain = q % p == p - 1 and r % pq in (1, pq - 1) and s % pqr in (1, pqr - 1)
+    if height(fs) == 1 and not chain:
+        yield _hit(n, fs, [1], "flat quaternary without the full congruence chain")
+
+
+def _chain_height_not_2(n, fs, height, bound):
+    h = height(fs)
+    if h != 2:
+        yield _hit(n, fs, [h], f"chain with q!=-1 (mod p) but height {h} != 2")
+
+
+def _flat_quinary(n, fs, height, bound):
+    if height(fs) == 1:
+        yield _hit(n, fs, [1], "flat quinary")
+
+
+def _np_turns_flat(n, fs, height, bound):
+    # every odd prime p <= bound / n outside n, so the answer needs the bound
+    h = height(fs)
+    if h == 1:
+        return
+    for p in odd_primes(bound // n):
+        if n % p and height(tuple(sorted(fs + (p,)))) == 1:
+            yield _hit(n, fs, [h, 1], f"A({n})={h} but A({n * p})=1", p)
+
+
+def _height_drops(n, fs, height, bound, mult: int):
+    if n % mult == 0:
+        return  # mult * n must stay squarefree
+    h = height(fs)
+    h2 = height(tuple(sorted(fs + (mult,))))
+    if h2 < h:
+        yield _hit(n, fs, [h, h2], f"A({n})={h} drops to A({mult * n})={h2}", mult)
+
+
+class _Tag(NamedTuple):
+    domain: Callable  # (lo, hi) -> (n, factors), from .domains
+    test: Callable  # (n, factors, height, bound) -> hits
+    pseudo: bool = False  # heights of inclusion-exclusion polynomials
+    bound_keyed: bool = False  # a window's answer depends on the bound
+
+
+# The pseudo tags use odd parts only: a part of 2 turns the polynomial into
+# a sign flip of a flat binary one while every mod-2 congruence degenerates.
+_TAGS = {
+    "notflat": _Tag(partial(prime_tuples, 3), _flat_off_congruence),
+    "broadhurst3": _Tag(
+        partial(prime_tuples, 3), partial(_broadhurst_fails, pseudo=False)
+    ),
+    "pseudonotflat": _Tag(
+        partial(coprime_tuples, 3, odd_only=True), _flat_off_congruence, pseudo=True
+    ),
+    "pseudobroadhurst3": _Tag(
+        partial(coprime_tuples, 3, odd_only=True),
+        partial(_broadhurst_fails, pseudo=True),
+        pseudo=True,
+    ),
+    "pqrsallflat": _Tag(partial(prime_tuples, 4), _flat_off_chain),
+    "pqrs2": _Tag(chain4, _chain_height_not_2),
+    "pqrstnotflat": _Tag(partial(prime_tuples, 5), _flat_quinary),
+    "np_stays_nonflat": _Tag(odd_squarefree3, _np_turns_flat, bound_keyed=True),
+    "height_drop_p3": _Tag(odd_squarefree3, partial(_height_drops, mult=3)),
+    "np_monotonic_p5": _Tag(odd_squarefree3, partial(_height_drops, mult=5)),
+}
+
+SCAN_TAGS = tuple(_TAGS)
+
+
 def _scan_chunk(desc: tuple) -> tuple:
     tag, lo, hi, bound = desc
-    pseudo = tag.startswith("pseudo")
+    spec = _TAGS[tag]
     records: dict[tuple, dict] = {}
-    hits: list[dict] = []
 
     def height(factors: tuple) -> int:
-        key = tuple(factors)
-        if key not in records:
-            records[key] = height_record(key, pseudo)
-        return records[key]["height"]
+        if factors not in records:
+            records[factors] = height_record(factors, spec.pseudo)
+        return records[factors]["height"]
 
-    def congruence_ok(p: int, q: int, r: int) -> bool:
-        pq = p * q
-        return q % p in (1, p - 1) or r % pq in (1, pq - 1)
-
-    if tag in ("notflat", "pseudonotflat"):
-        source = (
-            coprime_tuples3(lo, hi, odd_only=True)
-            if pseudo
-            else prime_tuples(3, lo, hi)
-        )
-        for n, (p, q, r) in source:
-            if height((p, q, r)) == 1 and not congruence_ok(p, q, r):
-                hits.append(
-                    {
-                        "n": n,
-                        "factors": [p, q, r],
-                        "heights": [1],
-                        "verdict": "flat without q=+/-1 (mod p) or r=+/-1 (mod pq)",
-                    }
-                )
-    elif tag in ("broadhurst3", "pseudobroadhurst3"):
-        source = (
-            coprime_tuples3(lo, hi, odd_only=True)
-            if pseudo
-            else prime_tuples(3, lo, hi)
-        )
-        for n, (p, q, r) in source:
-            if height((p, q, r)) != 1:
-                continue
-            pq = p * q
-            wr = r % pq
-            w = min(wr, pq - wr)
-            if w == 0 or (p - 1) % w == 0:
-                continue
-            ok = (
-                w > p
-                and q > p * p - p
-                and q % p in (1, p - 1)
-                and w % p in (1, p - 1)
-            )
-            if ok and w % p == 1:
-                bad = q % (w * p) == 1 if pseudo else q % (w * p) in (1, w * p - 1)
-                ok = not bad
-            if not ok:
-                hits.append(
-                    {
-                        "n": n,
-                        "factors": [p, q, r],
-                        "heights": [1],
-                        "verdict": f"flat with w={w}, p!=1 (mod w), but a stated conclusion fails",
-                    }
-                )
-    elif tag == "pqrsallflat":
-        for n, (p, q, r, s) in prime_tuples(4, lo, hi):
-            if height((p, q, r, s)) != 1:
-                continue
-            pq, pqr = p * q, p * q * r
-            chain = (
-                q % p == p - 1
-                and r % pq in (1, pq - 1)
-                and s % pqr in (1, pqr - 1)
-            )
-            if not chain:
-                hits.append(
-                    {
-                        "n": n,
-                        "factors": [p, q, r, s],
-                        "heights": [1],
-                        "verdict": "flat quaternary without the full congruence chain",
-                    }
-                )
-    elif tag == "pqrs2":
-        for n, (p, q, r, s) in _chain4_targets(lo, hi):
-            h = height((p, q, r, s))
-            if h != 2:
-                hits.append(
-                    {
-                        "n": n,
-                        "factors": [p, q, r, s],
-                        "heights": [h],
-                        "verdict": f"chain with q!=-1 (mod p) but height {h} != 2",
-                    }
-                )
-    elif tag == "pqrstnotflat":
-        for n, quint in prime_tuples(5, lo, hi):
-            if height(quint) == 1:
-                hits.append(
-                    {
-                        "n": n,
-                        "factors": list(quint),
-                        "heights": [1],
-                        "verdict": "flat quinary",
-                    }
-                )
-    elif tag == "np_stays_nonflat":
-        for n, fac in _order3plus_targets(lo, hi, avoid=1):
-            h = height(fac)
-            if h == 1:
-                continue
-            top = bound // n
-            for p in primes_up_to(top) if top >= 3 else ():
-                if p == 2 or n % p == 0:
-                    continue
-                h2 = height(tuple(sorted(fac + (p,))))
-                if h2 == 1:
-                    hits.append(
-                        {
-                            "n": n,
-                            "factors": list(fac),
-                            "p": p,
-                            "heights": [h, h2],
-                            "verdict": f"A({n})={h} but A({n * p})=1",
-                        }
-                    )
-    elif tag in ("height_drop_p3", "np_monotonic_p5"):
-        mult = 3 if tag == "height_drop_p3" else 5
-        for n, fac in _order3plus_targets(lo, hi, avoid=mult):
-            h = height(fac)
-            h2 = height(tuple(sorted(fac + (mult,))))
-            if h2 < h:
-                hits.append(
-                    {
-                        "n": n,
-                        "factors": list(fac),
-                        "p": mult,
-                        "heights": [h, h2],
-                        "verdict": f"A({n})={h} drops to A({mult * n})={h2}",
-                    }
-                )
+    hits = [
+        hit for n, fs in spec.domain(lo, hi) for hit in spec.test(n, fs, height, bound)
+    ]
     return lo, hi, list(records.values()), hits
 
 
 def _chunk_key(tag: str, bound: int, lo: int, hi: int) -> tuple:
-    # Only np_stays_nonflat looks past its window (for p up to bound // n);
-    # every other tag's chunk answers the same under any bound.
-    if tag == "np_stays_nonflat":
+    # A bound-keyed tag looks past its window, up to the bound. Any other
+    # tag's chunk, or one of a tag a journal names but this version does
+    # not know, answers the same under any bound.
+    spec = _TAGS.get(tag)
+    if spec is not None and spec.bound_keyed:
         return (tag, bound, lo, hi)
     return (tag, lo, hi)
 
@@ -634,7 +509,7 @@ class ScanReport:
 
 
 def _recomputed_heights(tag: str, rec: dict) -> list[int]:
-    pseudo = tag.startswith("pseudo")
+    pseudo = _TAGS[tag].pseudo
     factors = tuple(rec["factors"])
 
     def h(fs: tuple) -> int:
@@ -668,6 +543,8 @@ def scan(
         raise UnknownConjecture(f"unknown conjecture {conjecture!r}")
     if bound < 1:
         raise ValueError("bound must be positive")
+    if chunk_width < 1:
+        raise ValueError("chunk_width must be positive")
     store = cache if isinstance(cache, HeightCache) else HeightCache(cache)
     t0 = time.monotonic()
     descs = []
@@ -694,7 +571,7 @@ def scan(
 
 def report_csv_rows(report: ScanReport) -> list[list[str]]:
     rows = [["id", "n_or_tuple", "height_values", "verdict"]]
-    pseudo = report.conjecture.startswith("pseudo")
+    pseudo = _TAGS[report.conjecture].pseudo
     for i, rec in enumerate(report.counterexamples, start=1):
         if pseudo:
             label = "(" + ",".join(str(f) for f in rec["factors"]) + ")"

@@ -11,9 +11,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, prod
 
-from ._numtheory import factorize, primes_up_to, totient
+from ._numtheory import primes_up_to, totient
 from .binary_structure import mod_phi_reduce, staircase_multiple
 from .cyclotomic import phi, poly_gcd_int
+from .domains import coprime_tuples, prime_tuples, squarefree
 from .errors import UnknownSuite
 from .fjdecomp import (
     PeriodicityRelation,
@@ -27,10 +28,8 @@ from .flatness import (
     VerdictStatus,
     classify,
     coefficient_set_of,
-    coprime_tuples3,
     height_of,
     height_record,
-    prime_tuples,
     scan,
 )
 from .intpoly import (
@@ -88,36 +87,6 @@ def _result(suite: str, prop: str, failures: list, info: str) -> PropertyResult:
     return PropertyResult(suite, prop, True, info)
 
 
-def _odd_prime_pairs(limit: int):
-    ps = [p for p in primes_up_to(max(3, limit // 3)) if p != 2]
-    for i, p in enumerate(ps):
-        for q in ps[i + 1 :]:
-            if p * q > limit:
-                break
-            yield p, q
-
-
-def _coprime_pairs(limit: int):
-    for p in range(2, limit + 1):
-        if p * (p + 1) > limit:
-            break
-        for q in range(p + 1, limit // p + 1):
-            if gcd(p, q) == 1:
-                yield p, q
-
-
-def _coprime_tuples(limit: int):
-    # ascending pairwise-coprime parts >= 2, any length, product <= limit
-    def rec(start, chosen, pv):
-        if chosen:
-            yield pv, tuple(chosen)
-        for q in range(start, limit // pv + 1):
-            if all(gcd(q, c) == 1 for c in chosen):
-                yield from rec(q + 1, chosen + [q], pv * q)
-
-    yield from rec(2, [], 1)
-
-
 def _alternating_units(f) -> bool:
     signs = [c for c in f.coeffs if c]
     if any(abs(c) != 1 for c in signs) or not signs or signs[0] != 1:
@@ -129,7 +98,7 @@ def _run_binary(limit: int) -> list[PropertyResult]:
     out = []
     flat_bad, alt_bad = [], []
     pairs = 0
-    for p, q in _odd_prime_pairs(limit):
+    for _, (p, q) in prime_tuples(2, 1, limit):
         f = phi(p * q)
         pairs += 1
         if poly_height(f) != 1:
@@ -141,7 +110,7 @@ def _run_binary(limit: int) -> list[PropertyResult]:
 
     expl_bad = []
     count = 0
-    for p, q in _coprime_pairs(min(limit, 5000)):
+    for _, (p, q) in coprime_tuples(2, 1, min(limit, 5000)):
         count += 1
         if staircase_multiple(p, q, 1) != pseudo_phi([p, q]):
             expl_bad.append((p, q))
@@ -149,7 +118,7 @@ def _run_binary(limit: int) -> list[PropertyResult]:
 
     stair_bad = []
     count = 0
-    for p, q in _coprime_pairs(300):
+    for _, (p, q) in coprime_tuples(2, 1, 300):
         base = pseudo_phi([p, q])
         for l in range(1, p + q):
             count += 1
@@ -162,7 +131,7 @@ def _run_binary(limit: int) -> list[PropertyResult]:
 
 
 def _fj_grid(nmax: int, pmax: int) -> list[tuple[int, int]]:
-    ns = [n for n in range(2, nmax + 1) if all(e == 1 for _, e in factorize(n))]
+    ns = [n for n, _ in squarefree(2, nmax)]
     ps = primes_up_to(pmax)
     return [(n, p) for n in ns for p in ps if n % p != 0]
 
@@ -305,7 +274,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
     out = []
     prod_bad, gcd_bad = [], []
     tuples = 0
-    for _, parts in _coprime_tuples(1000):
+    for _, parts in coprime_tuples(None, 1, 1000):
         tuples += 1
         f = pseudo_phi(parts)
         acc = poly([1])
@@ -330,7 +299,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
 
     r2_bad = []
     count = 0
-    for _, (p, q, r) in coprime_tuples3(1, r2_limit):
+    for _, (p, q, r) in coprime_tuples(3, 1, r2_limit):
         pq = p * q
         if r % pq not in (2, pq - 2):
             continue
@@ -390,7 +359,7 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
     # The pseudo scans' heads, on coprime triples with a part 2 and prime
     # powers too, against the full inclusion-exclusion product.
     pseudo = 0
-    for _, parts in coprime_tuples3(1, limit // 15):
+    for _, parts in coprime_tuples(3, 1, limit // 15):
         pseudo += 1
         if not _head_record_ok(parts, True, pseudo_phi(parts)):
             head_bad.append(parts)

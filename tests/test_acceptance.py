@@ -14,12 +14,12 @@ from click.testing import CliRunner
 from cycloforge._numtheory import factorize
 from cycloforge.cli import main
 from cycloforge.cyclotomic import PhiAlgorithm, phi
+from cycloforge.domains import prime_tuples
 from cycloforge.flatness import VerdictStatus, classify, height_of, scan
 from cycloforge.intpoly import poly_height
 from cycloforge.verify_suites import (
     EXPECTED_DROP_ROWS,
     _alternating_units,
-    _odd_prime_pairs,
     run_suite,
 )
 
@@ -67,7 +67,7 @@ def test_criterion_03_binary_flat_alternating():
     t0 = time.perf_counter()
     pairs = 0
     ok = True
-    for p, q in _odd_prime_pairs(5000):
+    for _, (p, q) in prime_tuples(2, 1, 5000):
         f = phi(p * q)
         pairs += 1
         ok = ok and poly_height(f) == 1 and _alternating_units(f)

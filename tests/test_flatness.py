@@ -14,17 +14,15 @@ import pytest
 from cycloforge import flatness
 from cycloforge._numtheory import factorize, primes_up_to
 from cycloforge.cyclotomic import phi
+from cycloforge.domains import chain4, coprime_tuples, prime_tuples
 from cycloforge.errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from cycloforge.flatness import (
     HeightCache,
     VerdictStatus,
-    _chain4_targets,
     classify,
     coefficient_set_of,
-    coprime_tuples3,
     height_of,
     height_record,
-    prime_tuples,
     report_csv_rows,
     scan,
 )
@@ -188,8 +186,8 @@ def test_height_record_matches_full_expansion():
     cases += [(fs, False) for _, fs in prime_tuples(5, 1, 60000)]
     # the drop scans' partners: 3 or 5 joins the factors
     cases += [((3, 5, 7, 11), False), ((3, 7, 11, 13), False), ((5, 7, 11, 13), False)]
-    cases += [(fs, True) for _, fs in coprime_tuples3(1, 1500, odd_only=True)]
-    cases += [(fs, True) for _, fs in coprime_tuples3(1, 600)]
+    cases += [(fs, True) for _, fs in coprime_tuples(3, 1, 1500, odd_only=True)]
+    cases += [(fs, True) for _, fs in coprime_tuples(3, 1, 600)]
     for factors, pseudo in cases:
         got = height_record(factors, pseudo)
         assert json.dumps(got) == json.dumps(_full_record(factors, pseudo)), factors
@@ -314,7 +312,7 @@ def test_quaternary_and_quinary_scans_small():
 
 
 def test_pqrs2_scan_and_chain_domain():
-    assert list(_chain4_targets(1, 2_000_000)) == [
+    assert list(chain4(1, 2_000_000)) == [
         (1481781, (3, 7, 41, 1721)),
         (1483503, (3, 7, 41, 1723)),
     ]
@@ -339,6 +337,9 @@ def test_scan_validation():
         scan("nosuch", 1000)
     with pytest.raises(ValueError):
         scan("notflat", 0)
+    for width in (0, -5):
+        with pytest.raises(ValueError):
+            scan("notflat", 1000, chunk_width=width)
 
 
 def test_scan_journal_resume(tmp_path):
