@@ -7,7 +7,7 @@ deterministic for inputs below 3.3 * 10^24 via fixed Miller-Rabin bases.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 # Deterministic witness set: correct for all n < 3_317_044_064_679_887_385_961_981,
 # comfortably past 2^64.
@@ -41,7 +41,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...) ascending."""
     if n < 1:
@@ -125,16 +125,6 @@ def _egcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_r, old_s, old_t
-
-
-def pairwise_coprime(parts: list[int] | tuple[int, ...]) -> bool:
-    """True iff every pair of distinct entries has gcd 1."""
-    running = 1
-    for p in parts:
-        if gcd(running, p) != 1:
-            return False
-        running *= p
-    return True
 
 
 def primes_up_to(limit: int) -> list[int]:

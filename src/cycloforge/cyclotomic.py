@@ -157,9 +157,11 @@ def _checked_head(c, deg: int, at_one: int) -> tuple[int, ...]:
     # the one before it, and the head, mirrored, sums to the value at 1.
     h = deg // 2
     head = tuple(c[: h + 1])
-    assert c[h + 1] == c[deg - h - 1], "truncated series is not palindromic"
+    if c[h + 1] != c[deg - h - 1]:
+        raise AssertionError("truncated series is not palindromic")
     total = 2 * sum(head) - (head[h] if deg % 2 == 0 else 0)
-    assert total == at_one, "truncated series has the wrong value at 1"
+    if total != at_one:
+        raise AssertionError("truncated series has the wrong value at 1")
     return head
 
 
@@ -200,8 +202,8 @@ def _sparse_step(
         seg = acc[off:end]
         acc[off:end] = [u - v * w for u, w in zip(seg, psi)]
     _series_accumulate(acc, n)
-    if upto is None:
-        assert acc[-1] == 1, "sparse series lost the leading term"
+    if upto is None and acc[-1] != 1:
+        raise AssertionError("sparse series lost the leading term")
     return acc
 
 
@@ -218,54 +220,26 @@ def _psi_step(phi: tuple[int, ...], psi: tuple[int, ...], p: int) -> list[int]:
     return psi_new
 
 
-# Prefix cache for ascending chains: maps a squarefree product to its
-# (phi, psi) coefficient tuples. Bounded; concurrent use is safe because
-# entries are immutable and a lost write only costs a recompute.
-_chain_cache: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-_CHAIN_CACHE_MAX_PRODUCT = 70000
-_CHAIN_CACHE_MAX_ENTRIES = 1500
+@lru_cache(maxsize=512)
+def _sparse_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(phi_n, psi_n) coefficient tuples for squarefree n >= 2, one sparse
+    step up from the memoised pair of n without its top prime."""
+    p = nt.factorize(n)[-1][0]
+    if p == n:
+        return (1,) * p, (-1, 1)
+    phi, psi = _sparse_pair(n // p)
+    return tuple(_sparse_step(phi, psi, n // p, p)), tuple(_psi_step(phi, psi, p))
 
 
-def _phi_psi_sparse(
-    m: int, use_cache: bool = True, psi_too: bool = True, half: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
-    """(phi_m, psi_m) coefficient tuples for squarefree m >= 2. Without
-    psi_too, psi_m is None unless the chain cache keeps it anyway. With
-    half, phi_m only through degree totient(m) // 2, and psi_m is None."""
-    primes = [p for p, _ in nt.factorize(m)]
-    prefixes = list(accumulate(primes, lambda a, b: a * b))
-    last = len(primes) - 1
-    start = 0
-    phi: tuple[int, ...] = (1,) * primes[0]
-    psi: tuple[int, ...] | None = (-1, 1)
-    if use_cache:
-        for i in range(last, -1, -1):
-            hit = _chain_cache.get(prefixes[i])
-            if hit is not None:
-                phi, psi = hit
-                start = i + 1
-                break
-    for i in range(max(start, 1), len(primes)):
-        n, p = prefixes[i - 1], primes[i]
-        if half and i == last:
-            deg = (len(phi) - 1) * (p - 1)
-            return _checked_head(_sparse_step(phi, psi, n, p, deg // 2 + 1), deg, 1), None
-        keep = (
-            use_cache
-            and prefixes[i] <= _CHAIN_CACHE_MAX_PRODUCT
-            and len(_chain_cache) < _CHAIN_CACHE_MAX_ENTRIES
-        )
-        phi_new = tuple(_sparse_step(phi, psi, n, p))
-        psi = tuple(_psi_step(phi, psi, p)) if keep or psi_too or i < last else None
-        phi = phi_new
-        if keep:
-            _chain_cache[prefixes[i]] = (phi, psi)
-    if use_cache and primes[0] <= _CHAIN_CACHE_MAX_PRODUCT and prefixes[0] not in _chain_cache:
-        if len(_chain_cache) < _CHAIN_CACHE_MAX_ENTRIES:
-            _chain_cache[prefixes[0]] = ((1,) * primes[0], (-1, 1))
-    if half:
-        return _checked_head(phi, len(phi) - 1, primes[0] if last == 0 else 1), None
-    return phi, psi
+def _sparse_phi(m: int, upto: int | None = None) -> list[int]:
+    # phi_m for squarefree m >= 2, with upto only through that degree (a
+    # prime m comes whole). The top step is not memoised and builds no psi,
+    # so a one-off large m leaves neither behind.
+    p = nt.factorize(m)[-1][0]
+    if p == m:
+        return [1] * p
+    phi, psi = _sparse_pair(m // p)
+    return _sparse_step(phi, psi, m // p, p, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +277,8 @@ def _prim_rem(a: list[int], b: list[int]) -> list[int]:
             rem = [v * lcb for v in rem]
             c = rem[-1]
         q, r = divmod(c, lcb)
-        assert r == 0
+        if r:
+            raise AssertionError("pseudo-remainder step is not exact")
         for j in range(db + 1):
             rem[shift + j] -= q * b[j]
         while rem and rem[-1] == 0:
@@ -346,9 +321,12 @@ _X_MINUS_1 = IntPolynomial((-1, 1))
 
 def _default_radical_phi(m: int, half: bool = False) -> IntPolynomial:
     primes = tuple(p for p, _ in nt.factorize(m))
-    if sum(1 for p in primes if p != 2) >= 2:
-        return IntPolynomial(_phi_psi_sparse(m, psi_too=False, half=half)[0])
-    return signed_subset_product(primes, half=half)
+    if sum(1 for p in primes if p != 2) < 2:
+        return signed_subset_product(primes, half=half)
+    if not half:
+        return IntPolynomial(_sparse_phi(m))
+    deg = prod(p - 1 for p in primes)
+    return IntPolynomial(_checked_head(_sparse_phi(m, deg // 2 + 1), deg, 1))
 
 
 @lru_cache(maxsize=512)
@@ -376,7 +354,9 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     With alg=None a cached default route is used (sparse series for
     squarefree radicals of two or more odd primes, inclusion-exclusion
     product otherwise). Passing an explicit algorithm always recomputes,
-    so differential tests compare genuinely independent code paths.
+    so differential tests compare genuinely independent code paths; an
+    explicit SparseSeries recomputes the top step but may reuse memoised
+    prefixes.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -390,7 +370,7 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     elif alg is PhiAlgorithm.RecursiveQuotient:
         base = _phi_recursive(m)
     elif alg is PhiAlgorithm.SparseSeries:
-        base = IntPolynomial(_phi_psi_sparse(m, use_cache=False, psi_too=False)[0])
+        base = IntPolynomial(_sparse_phi(m))
     elif alg is PhiAlgorithm.GcdOfSparse:
         base = _phi_gcd(m, n)
     else:
@@ -398,7 +378,6 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     return substitute_power(base, k)
 
 
-@lru_cache(maxsize=512)
 def psi(n: int) -> IntPolynomial:
     """The cofactor of phi(n) in x^n - 1 (monic, degree n - totient(n))."""
     if n < 1:
@@ -406,8 +385,7 @@ def psi(n: int) -> IntPolynomial:
     m, k = radical_reduce(n)
     if m == 1:
         return IntPolynomial((1,))
-    if nt.is_prime(m):
-        base = _X_MINUS_1
-    else:
-        base = IntPolynomial(_phi_psi_sparse(m)[1])
+    # psi_p = x - 1 needs no p-term phi_p built and memoised, which for a
+    # large prime p would cost O(p) memory for a two-term answer
+    base = _X_MINUS_1 if nt.is_prime(m) else IntPolynomial(_sparse_pair(m)[1])
     return substitute_power(base, k)

@@ -1,7 +1,11 @@
 """Tests for the four cyclotomic algorithms and the classical reductions."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,11 +192,17 @@ def _lower_half(f):
     return poly(f.coeffs[: f.degree // 2 + 1])
 
 
-def test_phi_head_matches_full_expansion(monkeypatch):
-    # orders 1-5, with factors of 2 and square parts; the chain cache
-    # starts empty, so both the truncated last step and a head cut from a
-    # cached full entry are exercised
-    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
+@pytest.fixture
+def cold_sparse_memo():
+    # the sparse-chain memo starts empty, and a test that breaks a kernel
+    # leaves no wrong entry in it for the tests after
+    cyclotomic._sparse_pair.cache_clear()
+    yield
+    cyclotomic._sparse_pair.cache_clear()
+
+
+def test_phi_head_matches_full_expansion(cold_sparse_memo):
+    # orders 1-5, with factors of 2 and square parts, from an empty memo
     assert phi_head(1) == phi(1)
     ns = [*range(2, 800), 1155, 2310, 3003, 4199, 5005, 15015, 45045, 2 * 3 * 5 * 7 * 11 * 13]
     for n in ns:
@@ -243,9 +253,8 @@ _REAL_ACCUMULATE = cyclotomic._series_accumulate
 
 
 @pytest.mark.parametrize("broken", [_noop, _last_off])
-def test_truncated_series_self_check_fires(monkeypatch, broken):
-    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
-    cyclotomic._phi_psi_sparse(105)  # cache a prefix: only the last step breaks
+def test_truncated_series_self_check_fires(monkeypatch, cold_sparse_memo, broken):
+    cyclotomic._sparse_pair(105)  # memoise a prefix: only the last step breaks
     monkeypatch.setattr(cyclotomic, "_series_accumulate", broken)
     for n in (35, 303, 1155):
         with pytest.raises(AssertionError, match="truncated series"):
@@ -255,28 +264,64 @@ def test_truncated_series_self_check_fires(monkeypatch, broken):
             signed_subset_product(parts, half=True)
 
 
-def test_truncated_series_mirror_check(monkeypatch):
+def test_truncated_series_mirror_check(monkeypatch, cold_sparse_memo):
     # a series step that does nothing leaves phi(15)'s head lopsided
-    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
     monkeypatch.setattr(cyclotomic, "_series_accumulate", _noop)
     with pytest.raises(AssertionError, match="not palindromic"):
         phi_head(15)
 
 
-def test_sparse_builds_last_psi_only_when_kept(monkeypatch):
+def test_self_checks_survive_python_O():
+    # the self-checks raise AssertionError themselves, so -O keeps them
+    script = (
+        "import sys\n"
+        "from cycloforge import cyclotomic as c\n"
+        "c._series_accumulate = lambda c_, period: None\n"
+        "for call in (lambda: c.phi_head(35), lambda: c.phi(35, c.PhiAlgorithm.SparseSeries)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclotomic.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    want = "truncated series has the wrong value at 1\nsparse series lost the leading term\n1\n"
+    assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
+
+
+def test_sparse_builds_last_psi_only_when_kept(monkeypatch, cold_sparse_memo):
     calls = []
     real = cyclotomic._psi_step
     monkeypatch.setattr(
         cyclotomic, "_psi_step", lambda phi_, psi_, p: calls.append(p) or real(phi_, psi_, p)
     )
-    monkeypatch.setattr(cyclotomic, "_chain_cache", {})
-    f = phi(1155, PhiAlgorithm.SparseSeries)
+    cyclotomic._phi_default.cache_clear()
+    f = phi(1155)
     assert calls == [5, 7]  # the step to 1155 (p = 11) builds no psi
-    _, psi_m = cyclotomic._phi_psi_sparse(1155, use_cache=False)
-    assert calls[2:] == [5, 7, 11]
-    assert poly_mul(f, poly(psi_m)) == poly_sub(monomial(1155), poly([1]))
-    # a product the chain cache keeps gets its psi on the last step too
-    calls.clear()
-    cyclotomic._phi_psi_sparse(1155, psi_too=False)
+    assert phi(1155, PhiAlgorithm.SparseSeries) == f
+    assert calls == [5, 7]  # the prefix 105 comes from the memo
+    assert poly_mul(f, psi(1155)) == poly_sub(monomial(1155), poly([1]))
     assert calls == [5, 7, 11]
-    assert cyclotomic._chain_cache[1155][1] == psi_m
+
+
+def _cold(f, n):
+    cyclotomic._sparse_pair.cache_clear()
+    cyclotomic._phi_default.cache_clear()
+    return f(n)
+
+
+def test_cold_and_warm_memo_agree(cold_sparse_memo):
+    # orders 4-6, each with and without a factor 2, except that psi stops
+    # at order 5: psi(255255) alone takes seconds, and 510510 longer still
+    small = [*range(1, 800), 1155, 2310, 15015, 30030]
+    big = [255255]
+    cold = {n: (_cold(phi, n), _cold(phi_head, n)) for n in small + big}
+    cold_psi = {n: _cold(psi, n) for n in small}
+    cyclotomic._phi_default.cache_clear()
+    for n in small + big:
+        assert (phi(n), phi_head(n)) == cold[n], n
+        if n in cold_psi:
+            assert psi(n) == cold_psi[n], n

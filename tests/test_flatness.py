@@ -291,6 +291,14 @@ def test_drop_scan_finds_4745():
     assert rep.replay_ok()
 
 
+def test_drop_scan_to_20000_keeps_factorize_memo_bounded():
+    # the scan factorizes one index per polynomial it expands; a long scan
+    # must not grow the memo for the life of the process
+    rep = scan("height_drop_p3", 20000)
+    assert [(r["n"], *r["heights"]) for r in rep.counterexamples] == DROP_ROWS_BELOW_20000
+    assert factorize.cache_info().currsize <= 512
+
+
 def test_notflat_scan_empty_below_10000():
     rep = scan("notflat", 10000)
     assert rep.counterexamples == []

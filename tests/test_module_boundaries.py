@@ -1,4 +1,6 @@
-"""No module of the package imports another module's private names."""
+"""Package-wide rules read from the source: no module imports another
+module's private names, no self-check vanishes under python -O, and every
+memo is bounded."""
 
 import ast
 from pathlib import Path
@@ -7,15 +9,57 @@ import cycloforge
 
 PACKAGE = Path(cycloforge.__file__).parent
 
+# memos whose key space is small by construction, not by a maxsize
+UNBOUNDED_MEMOS = {("domains.py", "_odd_primes_below_pow2")}
+
+
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
 
 def test_no_private_cross_module_imports():
     found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 found += [
-                    f"{path.name}: from .{node.module} import {alias.name}"
+                    f"{name}: from .{node.module} import {alias.name}"
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert; a self-check raises AssertionError itself
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _bounded(deco) -> bool:
+    # lru_cache(maxsize=<int>) or lru_cache(<int>); bare lru_cache and cache
+    # are unbounded
+    if not isinstance(deco, ast.Call):
+        return False
+    args = [kw.value for kw in deco.keywords if kw.arg == "maxsize"] + deco.args[:1]
+    return len(args) == 1 and isinstance(args[0], ast.Constant) and type(args[0].value) is int
+
+
+def test_every_memo_is_bounded():
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                label = getattr(target, "attr", getattr(target, "id", ""))
+                if label in ("lru_cache", "cache") and not _bounded(deco):
+                    found.append((name, node.name))
+    assert set(found) == UNBOUNDED_MEMOS
