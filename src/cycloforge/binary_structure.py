@@ -19,7 +19,6 @@ from .cyclotomic import phi
 from .errors import BadExponents, LOutOfRange, NotCoprime
 from .intpoly import (
     IntPolynomial,
-    LaurentPolynomial,
     geometric_series,
     monomial,
     poly,
@@ -115,22 +114,16 @@ def prefix_truncation(f: IntPolynomial, b: int) -> IntPolynomial:
     return IntPolynomial(f.coeffs[: b + 1])
 
 
-def mod_phi_reduce(t: LaurentPolynomial | IntPolynomial, n: int) -> IntPolynomial:
+def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
     """Unique representative of degree < deg phi(n) congruent to t. Since
-    x^n = 1 holds modulo phi(n), exponents fold mod n first (this also
-    absorbs negative exponents), then one monic remainder finishes. An
-    input of degree below n with no offset skips the fold: the remainder
-    alone is cheaper there."""
+    x^n = 1 holds modulo phi(n), exponents fold mod n first, then one
+    monic remainder finishes. An input of degree below n skips the fold:
+    the remainder alone is cheaper there."""
     if n < 2:
         raise ValueError("modulus index must be at least 2")
-    if isinstance(t, IntPolynomial):
-        offset, coeffs = 0, t.coeffs
-    else:
-        offset, coeffs = t.offset, t.body.coeffs
-    if offset or len(coeffs) > n:
-        sums = [sum(coeffs[r::n]) for r in range(n)]
-        s = offset % n
-        coeffs = sums[n - s :] + sums[: n - s]
+    coeffs = t.coeffs
+    if len(coeffs) > n:
+        coeffs = [sum(coeffs[r::n]) for r in range(n)]
     return poly_mod_monic(poly(coeffs), phi(n))
 
 

@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from contextlib import suppress as _suppress
+from itertools import islice
 
 import click
 
@@ -24,7 +25,7 @@ from .binary_structure import (
 )
 from .cyclotomic import PhiAlgorithm, phi, psi
 from .errors import CycloforgeError
-from .fjdecomp import bezout_split, fj_extended, fj_family, fstar_family
+from .fjdecomp import bezout_split, fj_extended, fj_family, fstar_shifts
 from .flatness import (
     HeightCache,
     classify,
@@ -33,7 +34,7 @@ from .flatness import (
     report_csv_rows,
     scan as _scan,
 )
-from .intpoly import LaurentPolynomial, to_json_coeffs, to_text
+from .intpoly import IntPolynomial, to_json_coeffs, to_text
 from .pseudocyclo import pseudo_factorization, pseudo_phi, pseudo_psi
 from .verify_suites import SUITE_NAMES, run_suite
 
@@ -99,14 +100,10 @@ def _pretty(offset: int, coeffs: tuple[int, ...]) -> str:
     return "".join(out)
 
 
-def _emit_poly(f, fmt: str, extra: dict | None = None) -> None:
-    if isinstance(f, LaurentPolynomial):
-        if f.offset >= 0:
-            offset, body = 0, f.as_poly()
-        else:
-            offset, body = f.offset, f.body
-    else:
-        offset, body = 0, f
+def _emit_poly(body, fmt: str, extra: dict | None = None, offset: int = 0) -> None:
+    # prints x^offset * body; only a negative offset is shown as one
+    if offset > 0:
+        body, offset = IntPolynomial((0,) * offset + body.coeffs), 0
     if fmt == "coeffs":
         text = to_text(body)
         if offset:
@@ -169,7 +166,7 @@ def pseudo_cmd(parts, inverse, factorization, fmt):
     if inverse and factorization:
         raise click.UsageError("--inverse and --factorization are mutually exclusive")
     if factorization:
-        click.echo(" ".join(str(ix.n) for ix in pseudo_factorization(parts)))
+        click.echo(" ".join(map(str, pseudo_factorization(parts))))
         return
     f = pseudo_psi(parts) if inverse else pseudo_phi(parts)
     _emit_poly(f, fmt, {"parts": list(parts)})
@@ -199,8 +196,8 @@ def vset_cmd(factors, multiplier):
 @click.option("--format", "fmt", type=_FORMATS, default="coeffs", show_default=True)
 def fj_cmd(n, p, j, fmt):
     """Residue-class member j of the polynomial of n*p, sliced mod p."""
-    member = fj_extended(fj_family(n, p), j)
-    _emit_poly(member, fmt, {"n": n, "p": p, "j": j})
+    offset, member = fj_extended(fj_family(n, p), j)
+    _emit_poly(member, fmt, {"n": n, "p": p, "j": j}, offset)
 
 
 @main.command("fstar")
@@ -210,7 +207,8 @@ def fj_cmd(n, p, j, fmt):
 @click.option("--format", "fmt", type=_FORMATS, default="coeffs", show_default=True)
 def fstar_cmd(n, p, j, fmt):
     """Reduced shift family member: x^j * member_0 modulo phi(n)."""
-    _emit_poly(fstar_family(n, p)[j % n], fmt, {"n": n, "p": p, "j": j % n})
+    member = next(islice(fstar_shifts(n, p), j % n, None))
+    _emit_poly(member, fmt, {"n": n, "p": p, "j": j % n})
 
 
 @main.command("bezout")

@@ -13,7 +13,6 @@ product and the sparse-series route quasi-linear in the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -23,29 +22,6 @@ from operator import add, sub
 from . import _numtheory as nt
 from .errors import RemainderNonzero
 from .intpoly import IntPolynomial, geometric_series, poly_exact_div, substitute_power
-
-
-@dataclass(frozen=True, slots=True)
-class CycloIndex:
-    """A positive integer with the data the polynomial computations need."""
-
-    n: int
-    prime_factorization: tuple[tuple[int, int], ...]
-    radical: int
-    odd_part_order: int
-
-    @staticmethod
-    def of(n: int) -> "CycloIndex":
-        if n < 1:
-            raise ValueError("n must be positive")
-        fact = nt.factorize(n)
-        rad = 1
-        order = 0
-        for p, _ in fact:
-            rad *= p
-            if p != 2:
-                order += 1
-        return CycloIndex(n, fact, rad, order)
 
 
 class PhiAlgorithm(Enum):

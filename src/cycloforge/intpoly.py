@@ -241,60 +241,6 @@ def extract_residue(a: IntPolynomial, m: int, j: int) -> IntPolynomial:
     return IntPolynomial(_trim(list(a.coeffs[j::m])))
 
 
-@dataclass(frozen=True, slots=True)
-class LaurentPolynomial:
-    """x^offset times an ordinary polynomial with nonzero constant term.
-
-    The offset is canonical: the maximal power of x is factored out, so
-    the body has a nonzero constant term unless the whole thing is zero
-    (represented as offset 0, zero body).
-    """
-
-    offset: int = 0
-    body: IntPolynomial = ZERO
-
-    def __post_init__(self) -> None:
-        body = self.body
-        offset = self.offset
-        if not body.coeffs:
-            offset = 0
-        else:
-            low = 0
-            while body.coeffs[low] == 0:
-                low += 1
-            if low:
-                body = IntPolynomial(body.coeffs[low:])
-                offset += low
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "offset", offset)
-
-    def __bool__(self) -> bool:
-        return bool(self.body)
-
-    def coeff(self, k: int) -> int:
-        return self.body.coeff(k - self.offset)
-
-    def shifted(self, k: int) -> "LaurentPolynomial":
-        """Multiply by x^k (k may be negative)."""
-        return LaurentPolynomial(self.offset + k, self.body)
-
-    def as_poly(self) -> IntPolynomial:
-        """Convert to an ordinary polynomial; offset must be nonnegative."""
-        if not self.body:
-            return ZERO
-        if self.offset < 0:
-            raise ValueError("negative exponents present")
-        return IntPolynomial((0,) * self.offset + self.body.coeffs)
-
-    @staticmethod
-    def from_poly(p: IntPolynomial) -> "LaurentPolynomial":
-        return LaurentPolynomial(0, p)
-
-
-def laurent(offset: int, coeffs: Iterable[int]) -> LaurentPolynomial:
-    return LaurentPolynomial(offset, IntPolynomial(tuple(coeffs)))
-
-
 def to_text(a: IntPolynomial) -> str:
     """Canonical text: space-separated coefficients, degree 0 first."""
     if not a.coeffs:

@@ -15,7 +15,7 @@ from math import gcd, prod
 from typing import Iterable, Union
 
 from ._numtheory import divisors
-from .cyclotomic import CycloIndex, signed_subset_product
+from .cyclotomic import signed_subset_product
 from .errors import NotCoprime
 from .intpoly import ONE, IntPolynomial
 
@@ -73,7 +73,7 @@ def pseudo_psi(parts: PartsLike) -> IntPolynomial:
     return signed_subset_product(ps, include_full=False, flip=True)
 
 
-def pseudo_factorization(parts: PartsLike) -> list[CycloIndex]:
+def pseudo_factorization(parts: PartsLike) -> list[int]:
     """Cyclotomic indices m_1*...*m_k over divisor choices m_i | p_i with
     m_i > 1, sorted ascending. Parts equal to 1 admit no choice at all,
     so they are rejected rather than silently producing an empty list."""
@@ -82,4 +82,4 @@ def pseudo_factorization(parts: PartsLike) -> list[CycloIndex]:
         raise ValueError("pseudo_factorization needs every part > 1")
     choices = [[d for d in divisors(p) if d > 1] for p in ps]
     picks = (prod(pick) for pick in cartesian(*choices))
-    return [CycloIndex.of(m) for m in sorted(picks)]
+    return sorted(picks)

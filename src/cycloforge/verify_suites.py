@@ -17,11 +17,12 @@ from .cyclotomic import phi, poly_gcd_int
 from .domains import coprime_tuples, prime_tuples, squarefree
 from .errors import UnknownSuite
 from .fjdecomp import (
+    BezoutSplit,
+    FjFamily,
     PeriodicityRelation,
     bezout_split,
     fj_family,
     fstar_family,
-    gj_family,
     periodicity_compare,
 )
 from .flatness import (
@@ -34,7 +35,9 @@ from .flatness import (
 )
 from .intpoly import (
     ZERO,
+    IntPolynomial,
     coeff_set,
+    extract_residue,
     geometric_series,
     monomial,
     poly,
@@ -136,24 +139,62 @@ def _fj_grid(nmax: int, pmax: int) -> list[tuple[int, int]]:
     return [(n, p) for n in ns for p in ps if n % p != 0]
 
 
+FJ_PROPERTIES = (
+    "family-invariants",
+    "f-equals-g",
+    "exact-periodicity",
+    "f0-fast",
+    "fstar-recursion",
+)
+
+
+def check_fj_invariants(fam: FjFamily, split: BezoutSplit, ag: IntPolynomial) -> None:
+    """Raise ValueError unless every member keeps its degree budget,
+    member 0 has constant term 1, the members reassemble phi(np), and the
+    split keeps its degree bounds and satisfies f = a*g + b*h. ag is a*g,
+    which the caller also slices for the f-equals-g property."""
+    n, p = fam.n, fam.p
+    tot = totient(n)
+    for j, m in enumerate(fam.members):
+        ceil_share = -(-(tot + j) // p)
+        if m and m.degree > tot - ceil_share:
+            raise ValueError(f"member {j} exceeds its degree budget")
+    if fam.members[0].coeff(0) != 1:
+        raise ValueError("member 0 must have constant term 1")
+    f = phi(n * p)
+    top = f.degree
+    rebuilt = [0] * (top + 1)
+    for j, m in enumerate(fam.members):
+        for i, c in enumerate(m.coeffs):
+            k = j + p * i
+            if c and k > top:
+                raise ValueError("members overflow the source polynomial")
+            if k <= top:
+                rebuilt[k] += c
+    if tuple(rebuilt) != f.coeffs:
+        raise ValueError("members do not reassemble the source polynomial")
+    if split.a and split.a.degree >= tot:
+        raise ValueError("a breaks its degree bound")
+    if split.b and split.b.degree >= (n - tot) * (p - 1):
+        raise ValueError("b breaks its degree bound")
+    if poly_add(ag, poly_mul(split.b, split.h())) != f:
+        raise ValueError("identity f = a*g + b*h fails")
+
+
 def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]:
-    fails: dict[str, list] = {
-        "family-invariants": [],
-        "f-equals-g": [],
-        "exact-periodicity": [],
-        "f0-fast": [],
-        "fstar-recursion": [],
-    }
+    fails: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
     for n, p in pairs:
         try:
             fam = fj_family(n, p)
-        except Exception as exc:  # constructor enforces the invariants
+            split = bezout_split(n, p)
+            ag = poly_mul(split.a, split.g())
+            check_fj_invariants(fam, split, ag)
+        except Exception as exc:
             fails["family-invariants"].append((n, p, str(exc)))
             continue
         base = phi(n)
-        split = bezout_split(n, p)
-        for j, (fjp, gjp) in enumerate(zip(fam.members, gj_family(split))):
-            if mod_phi_reduce(poly_sub(fjp, gjp), n) != ZERO:
+        for j, fjp in enumerate(fam.members):
+            if mod_phi_reduce(poly_sub(fjp, extract_residue(ag, p, j)), n) != ZERO:
                 fails["f-equals-g"].append((n, p, j))
                 break
         if p > n:
@@ -182,29 +223,23 @@ def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_fj_check_chunk, chunks))
-    merged: dict[str, list] = {}
+    merged: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
     total = 0
     for checked, fails in outcomes:
         total += checked
         for key, rows in fails.items():
-            merged.setdefault(key, []).extend(rows)
+            merged[key].extend(rows)
     large = sum(1 for n, p in pairs if p > n)
-    infos = {
-        "family-invariants": f"{total} (n,p) pairs",
-        "f-equals-g": f"{total} (n,p) pairs, every member",
-        "exact-periodicity": f"{large} pairs with p > n",
-        "f0-fast": f"{large} pairs with p > n",
-        "fstar-recursion": f"{large} pairs with p > n",
-    }
+    infos = (
+        f"{total} (n,p) pairs",
+        f"{total} (n,p) pairs, every member",
+        f"{large} pairs with p > n",
+        f"{large} pairs with p > n",
+        f"{large} pairs with p > n",
+    )
     return [
-        _result("fj", prop, merged.get(prop, []), infos[prop])
-        for prop in (
-            "family-invariants",
-            "f-equals-g",
-            "exact-periodicity",
-            "f0-fast",
-            "fstar-recursion",
-        )
+        _result("fj", prop, merged[prop], info)
+        for prop, info in zip(FJ_PROPERTIES, infos)
     ]
 
 
@@ -278,8 +313,8 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
         tuples += 1
         f = pseudo_phi(parts)
         acc = poly([1])
-        for ix in pseudo_factorization(parts):
-            acc = poly_mul(acc, phi(ix.n))
+        for m in pseudo_factorization(parts):
+            acc = poly_mul(acc, phi(m))
         if acc != f:
             prod_bad.append(parts)
         gens = _pseudo_generators(parts)

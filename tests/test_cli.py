@@ -4,6 +4,8 @@ import pytest
 from click.testing import CliRunner
 
 from cycloforge.cli import main
+from cycloforge.fjdecomp import fstar_family
+from cycloforge.intpoly import to_text
 
 PRETTY_35 = (
     "x²⁴ - x²³ + x¹⁹ - x¹⁸ + x¹⁷ - x¹⁶ + x¹⁴ - x¹³ + x¹² - x¹¹ + x¹⁰"
@@ -142,6 +144,16 @@ def test_fstar_member(runner):
     assert r.stdout == "0 0 1 0 -1 0 1\n"
     r = runner.invoke(main, ["fstar", "--n", "15", "--p", "7", "--j", "2"])
     assert r.exit_code == 1
+
+
+def test_fstar_any_index_is_the_family_entry(runner):
+    fam = fstar_family(15, 17)
+    for j in (-16, -1, 0, 7, 14, 15, 38):
+        r = runner.invoke(main, ["fstar", "--n", "15", "--p", "17", "--j", str(j)])
+        assert r.stdout == to_text(fam[j % 15]) + "\n", j
+    # n is checked before j is reduced mod n
+    r = runner.invoke(main, ["fstar", "--n", "0", "--p", "5", "--j", "2"])
+    assert (r.exit_code, r.stderr) == (1, "error: need n >= 1\n")
 
 
 def test_bezout_lines(runner):

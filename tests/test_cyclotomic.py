@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloforge import cyclotomic
-from cycloforge._numtheory import mobius, totient
+from cycloforge._numtheory import factorize, mobius, radical, totient
 from cycloforge.cyclotomic import (
-    CycloIndex,
     PhiAlgorithm,
     phi,
     phi_head,
@@ -41,13 +40,11 @@ ALL_ALGS = list(PhiAlgorithm)
 
 
 def test_cyclo_index():
-    ix = CycloIndex.of(60)
-    assert ix.prime_factorization == ((2, 2), (3, 1), (5, 1))
-    assert ix.radical == 30
-    assert ix.odd_part_order == 2
-    assert CycloIndex.of(1).radical == 1
+    assert factorize(60) == ((2, 2), (3, 1), (5, 1))
+    assert radical(60) == 30
+    assert radical(1) == 1
     with pytest.raises(ValueError):
-        CycloIndex.of(0)
+        factorize(0)
 
 
 def test_radical_reduce():

@@ -26,11 +26,10 @@ from cycloforge.fjdecomp import (
     reciprocity_partner,
 )
 from cycloforge.intpoly import (
+    ZERO,
     IntPolynomial,
-    LaurentPolynomial,
     coeff_set,
     extract_residue,
-    laurent,
     monomial,
     poly,
     poly_add,
@@ -39,27 +38,40 @@ from cycloforge.intpoly import (
     substitute_power,
 )
 from cycloforge.pseudocyclo import pseudo_phi
+from cycloforge.verify_suites import check_fj_invariants
+
+# An (offset, poly) pair stands for x^offset * poly; offsets may be negative.
 
 
-def lifted(e: LaurentPolynomial, p: int, j: int) -> LaurentPolynomial:
-    # x^j * e(x^p) as a Laurent polynomial
-    return LaurentPolynomial(e.offset * p + j, substitute_power(e.body, p))
+def lifted(e: tuple, p: int, j: int) -> tuple:
+    # x^j * e(x^p) for a canonical e, kept canonical
+    off, body = e
+    return off * p + j if body else 0, substitute_power(body, p)
 
 
-def fold_xn(t, n: int) -> tuple:
-    # residue of t modulo x^n - 1, as a coefficient tuple of length n
-    if isinstance(t, IntPolynomial):
-        off, cs = 0, t.coeffs
-    else:
-        off, cs = t.offset, t.body.coeffs
+def fold_xn(e: tuple, n: int) -> tuple:
+    # residue of x^offset * poly modulo x^n - 1, as a coefficient tuple of
+    # length n
+    off, body = e
     out = [0] * n
-    for i, c in enumerate(cs):
+    for i, c in enumerate(body.coeffs):
         out[(off + i) % n] += c
     return tuple(out)
 
 
-def g_extended(gs: list, p: int, j: int) -> LaurentPolynomial:
-    return laurent(-(j // p), gs[j % p].coeffs)
+def g_extended(gs: list, p: int, j: int) -> tuple:
+    return -(j // p), gs[j % p]
+
+
+def reduced(e: tuple, n: int) -> IntPolynomial:
+    # x^offset * poly modulo phi(n), through x^n = 1
+    off, body = e
+    return mod_phi_reduce(poly_mul(monomial(off % n), body), n)
+
+
+def split_invariants(fam):
+    split = bezout_split(fam.n, fam.p)
+    check_fj_invariants(fam, split, poly_mul(split.a, split.g()))
 
 
 def test_bezout_golden_3_2():
@@ -120,15 +132,15 @@ def test_fj_family_rejects():
 
 
 def test_family_invariants_sampled():
-    # reassembly, degree budget, and constant term are enforced at
-    # construction, so building the family is the assertion
+    # reassembly, degree budget, constant term and the split's bounds and
+    # identity, on both constructions
     ns = (3, 10, 15, 21, 30, 70, 105, 165)
     ps = (2, 3, 5, 7, 11, 13, 17, 29)
     built = 0
     for n in ns:
         for p in ps:
             if n % p:
-                fj_family(n, p)
+                split_invariants(fj_family(n, p))
                 built += 1
     assert built > 40
 
@@ -138,17 +150,28 @@ def test_family_post_init_rejects_forgeries():
     with pytest.raises(ValueError):
         FjFamily(15, 2, (fam.members[0],))
     with pytest.raises(ValueError):
-        FjFamily(15, 2, (fam.members[1], fam.members[0]))
+        split_invariants(FjFamily(15, 2, (fam.members[1], fam.members[0])))
 
 
 def test_fj_extended():
     fam = fj_family(15, 2)
-    assert fj_extended(fam, 0) == laurent(0, fam.members[0].coeffs)
-    assert fj_extended(fam, -2) == laurent(1, [1, 0, -1, 0, 1])
+    assert fj_extended(fam, 0) == (0, fam.members[0])
+    assert fj_extended(fam, -2) == (1, poly([1, 0, -1, 0, 1]))
     for j in (-7, -2, -1, 0, 1, 2, 5, 9):
         a = lifted(fj_extended(fam, j), 2, j)
         b = lifted(fj_extended(fam, j + 2), 2, j + 2)
         assert a == b, j
+
+
+def test_fj_extended_canonical_offset():
+    # leading zeros of a member go into the offset; the zero member has
+    # offset 0
+    fam = FjFamily(7, 2, (poly([0, 0, 3, 1]), ZERO))
+    assert fj_extended(fam, 0) == (2, poly([3, 1]))
+    assert fj_extended(fam, -4) == (4, poly([3, 1]))
+    assert fj_extended(fam, 8) == (-2, poly([3, 1]))
+    assert fj_extended(fam, 1) == (0, ZERO)
+    assert fj_extended(fam, -9) == (0, ZERO)
 
 
 def test_gj_family_golden_3_2():
@@ -187,7 +210,7 @@ def test_fg_periodicity_with_negatives():
     gs = gj_family(bezout_split(n, p))
     for j in range(-5, p - n):
         f_lo, f_hi = fj_extended(fam, j), fj_extended(fam, n + j)
-        assert mod_phi_reduce(f_lo, n) == mod_phi_reduce(f_hi, n), j
+        assert reduced(f_lo, n) == reduced(f_hi, n), j
         g_lo, g_hi = g_extended(gs, p, j), g_extended(gs, p, n + j)
         assert fold_xn(g_lo, n) == fold_xn(g_hi, n), j
 
@@ -328,7 +351,7 @@ def test_pseudo_residue_one_and_minus_one():
     f16 = pseudo_phi([3, 5, 16])
     for j in range(16):
         fj = extract_residue(f16, 16, j)
-        assert mod_phi_reduce(fj, 15) == mod_phi_reduce(laurent(-j, [1]), 15), j
+        assert mod_phi_reduce(fj, 15) == mod_phi_reduce(monomial((-j) % 15), 15), j
     f14 = pseudo_phi([3, 5, 14])
     for j in range(14):
         fj = extract_residue(f14, 14, j)

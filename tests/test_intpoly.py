@@ -13,14 +13,12 @@ from cycloforge.intpoly import (
     ONE,
     ZERO,
     IntPolynomial,
-    LaurentPolynomial,
     coeff_set,
     extract_residue,
     from_json_coeffs,
     from_text,
     geometric_series,
     is_reciprocal,
-    laurent,
     monomial,
     poly,
     poly_add,
@@ -172,18 +170,6 @@ def test_evaluate():
     assert PHI15(1) == 1
     assert poly([-1, 1])(5) == 4
     assert ZERO(7) == 0
-
-
-def test_laurent_canonicalization():
-    t = laurent(2, [0, 0, 3, 1])
-    assert t.offset == 4 and t.body == poly([3, 1])
-    assert laurent(5, []).offset == 0
-    assert laurent(-3, [1, 1]).coeff(-3) == 1
-    assert laurent(-3, [1, 1]).coeff(0) == 0
-    assert laurent(1, [1]).as_poly() == monomial(1)
-    with pytest.raises(ValueError):
-        laurent(-1, [1]).as_poly()
-    assert LaurentPolynomial.from_poly(monomial(2)) == laurent(2, [1])
 
 
 def test_text_roundtrip():

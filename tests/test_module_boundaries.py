@@ -1,6 +1,6 @@
 """Package-wide rules read from the source: no module imports another
-module's private names, no self-check vanishes under python -O, and every
-memo is bounded."""
+module's private names, no self-check vanishes under python -O, every
+memo is bounded, and no constructor re-derives a polynomial."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,10 @@ PACKAGE = Path(cycloforge.__file__).parent
 
 # memos whose key space is small by construction, not by a maxsize
 UNBOUNDED_MEMOS = {("domains.py", "_odd_primes_below_pow2")}
+
+# expansions and products a value type's constructor must not run; the
+# verify suites check the invariants that would need them
+DERIVING_CALLS = {"phi", "psi", "pseudo_phi", "poly_mul", "poly_exact_div", "factorize"}
 
 
 def _modules():
@@ -63,3 +67,21 @@ def test_every_memo_is_bounded():
                 if label in ("lru_cache", "cache") and not _bounded(deco):
                     found.append((name, node.name))
     assert set(found) == UNBOUNDED_MEMOS
+
+
+def test_no_post_init_derives_a_polynomial():
+    found = []
+    for name, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                    continue
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call):
+                        target = node.func
+                        label = getattr(target, "attr", getattr(target, "id", ""))
+                        if label in DERIVING_CALLS:
+                            found.append(f"{name}: {cls.name} calls {label}")
+    assert found == []

@@ -1,6 +1,9 @@
 import pytest
 
+from cycloforge import verify_suites
 from cycloforge.errors import UnknownSuite
+from cycloforge.fjdecomp import BezoutSplit, FjFamily
+from cycloforge.intpoly import monomial, poly, poly_add
 from cycloforge.verify_suites import SUITE_NAMES, PropertyResult, run_suite
 
 
@@ -49,3 +52,73 @@ def test_classifier_suite_small():
     results = run_suite("classifier-soundness", max_value=2000)
     assert all(r.ok for r in results)
     assert "definite verdicts" in results[0].info
+
+
+def _forge_members(fam, j, coeffs):
+    members = list(fam.members)
+    members[j] = poly(coeffs)
+    return FjFamily(fam.n, fam.p, members)
+
+
+def _swap_members(fam):
+    members = list(fam.members)
+    members[1], members[2] = members[2], members[1]
+    return FjFamily(fam.n, fam.p, members)
+
+
+def _forge_a(split, a):
+    return BezoutSplit(split.n, split.p, a, split.b)
+
+
+# phi(15) sliced mod 3 gives members 1 + x, -1 - x - x^2 and x + x^2; the
+# totient of 5 is 4, so every member's degree budget is 2 and a stays
+# below degree 4
+FORGERIES = {
+    "swapped-members": (_swap_members, None, "do not reassemble"),
+    "member-over-budget": (
+        lambda fam: _forge_members(fam, 1, [-1, -1, -1, 1]),
+        None,
+        "member 1 exceeds its degree budget",
+    ),
+    "member-0-constant": (
+        lambda fam: _forge_members(fam, 0, [2, 1]),
+        None,
+        "member 0 must have constant term 1",
+    ),
+    "a-over-bound": (
+        None,
+        lambda split: _forge_a(split, poly_add(split.a, monomial(4))),
+        "a breaks its degree bound",
+    ),
+    "a-breaks-identity": (
+        None,
+        lambda split: _forge_a(split, poly_add(split.a, monomial(0))),
+        "identity f = a*g + b*h fails",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_fj_suite_catches_forgeries(monkeypatch, name):
+    forge_family, forge_split, message = FORGERIES[name]
+
+    def forged(real, forge):
+        def build(n, p):
+            value = real(n, p)
+            return forge(value) if forge and (n, p) == (5, 3) else value
+
+        return build
+
+    monkeypatch.setattr(
+        verify_suites, "fj_family", forged(verify_suites.fj_family, forge_family)
+    )
+    monkeypatch.setattr(
+        verify_suites, "bezout_split", forged(verify_suites.bezout_split, forge_split)
+    )
+    results = run_suite("fj", max_value=6)
+    assert [r.prop for r in results] == list(verify_suites.FJ_PROPERTIES)
+    first, *rest = results
+    assert not first.ok
+    assert first.info.startswith("1 counterexamples, first: (5, 3, ")
+    assert message in first.info
+    assert all(r.ok for r in rest)
