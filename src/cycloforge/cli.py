@@ -17,6 +17,7 @@ from itertools import islice
 
 import click
 
+from ._numtheory import totient
 from .binary_structure import (
     ldiagram_json,
     ldiagram_render,
@@ -147,8 +148,14 @@ def phi_cmd(n, algorithm, fmt, force):
 @main.command("psi")
 @click.option("--n", type=int, required=True)
 @click.option("--format", "fmt", type=_FORMATS, default="coeffs", show_default=True)
-def psi_cmd(n, fmt):
+@click.option("--force", is_flag=True, help=f"Allow degrees n - totient(n) beyond {LARGE_N}.")
+def psi_cmd(n, fmt, force):
     """Inverse cyclotomic polynomial: (x^n - 1) / phi(n)."""
+    # the degree n - totient(n) is below n, so only n > LARGE_N can exceed it
+    if n > LARGE_N and not force and n - totient(n) > LARGE_N:
+        raise ValueError(
+            f"n - totient(n)={n - totient(n)} exceeds {LARGE_N}; pass --force to compute anyway"
+        )
     _emit_poly(psi(n), fmt, {"n": n})
 
 

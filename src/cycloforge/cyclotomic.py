@@ -8,16 +8,21 @@ each other.
 
 Internal kernels work on plain coefficient lists. Multiplying or exactly
 dividing by x^d - 1 is linear time, which makes the inclusion-exclusion
-product and the sparse-series route quasi-linear in the degree.
+product and the sparse-series route quasi-linear in the degree. The
+lower half of a palindromic product, which carries its height, comes
+from one packed kernel that runs on a single Python int instead.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations
-from math import gcd, prod
-from operator import add, sub
+from math import comb, gcd, prod
+from operator import add
+from typing import NamedTuple, Sequence
 
 from . import _numtheory as nt
 from .errors import RemainderNonzero
@@ -70,17 +75,10 @@ def _div_xd_minus_1(c: list[int], d: int) -> list[int]:
     return out
 
 
-def signed_subset_product(
-    parts: tuple[int, ...], include_full: bool = True, flip: bool = False, half: bool = False
-) -> IntPolynomial:
-    """Inclusion-exclusion product over pairwise-coprime parts: one binomial
-    x^d - 1 per subset (the full set only with include_full), d the product
-    of the subset, signed + when the complement has even size (the other
-    way round with flip). Over the primes of m this is phi(m).
-
-    With half (for the full set and no flip, a palindromic product), only
-    the coefficients through degree deg // 2, which carry its height and
-    coefficient set."""
+def _binomials(
+    parts: tuple[int, ...], include_full: bool = True, flip: bool = False
+) -> tuple[list[int], list[int]]:
+    # the exponents d of the positively and the negatively signed x^d - 1
     k = len(parts)
     plus: list[int] = []
     minus: list[int] = []
@@ -89,19 +87,17 @@ def signed_subset_product(
         bucket = plus if positive else minus
         for combo in combinations(parts, r):
             bucket.append(prod(combo))
-    if half:
-        # As power series: times (1 - x^d) for the positive binomials, then
-        # over (1 - x^d) for the negative ones. There are as many of each,
-        # so the sign flips of the binomials cancel, and the value at 1 is
-        # the ratio of their degree products.
-        deg = sum(plus) - sum(minus)
-        out = [0] * (deg // 2 + 2)
-        out[0] = 1
-        for d in plus:
-            out[d:] = map(sub, out[d:], out[: len(out) - d])
-        for d in minus:
-            _series_accumulate(out, d)
-        return IntPolynomial(_checked_head(out, deg, prod(plus) // prod(minus)))
+    return plus, minus
+
+
+def signed_subset_product(
+    parts: tuple[int, ...], include_full: bool = True, flip: bool = False
+) -> IntPolynomial:
+    """Inclusion-exclusion product over pairwise-coprime parts: one binomial
+    x^d - 1 per subset (the full set only with include_full), d the product
+    of the subset, signed + when the complement has even size (the other
+    way round with flip). Over the primes of m this is phi(m)."""
+    plus, minus = _binomials(parts, include_full, flip)
     # Multiply every positively-signed binomial first, then exact-divide by
     # the negative ones in increasing degree order; the division kernel's
     # remainder check doubles as a self-test.
@@ -126,19 +122,158 @@ def _series_accumulate(c: list[int], period: int) -> None:
         c[r::period] = accumulate(c[r::period])
 
 
-def _checked_head(c, deg: int, at_one: int) -> tuple[int, ...]:
-    # c holds a palindromic polynomial of degree deg through deg // 2 + 1.
+# ---------------------------------------------------------------------------
+# packed heads
+
+
+class Head(NamedTuple):
+    """Coefficients 0 .. deg // 2 of a palindromic polynomial of degree
+    deg, which carry its height and coefficient set, and its height."""
+
+    coeffs: Sequence[int]
+    height: int
+
+
+def _height_bound(parts: tuple[int, ...], primes: bool, top: int) -> int:
+    # A bound on |[x^i]| for i < top of the product of the parts, proved
+    # from the parts alone, never read off the answer.
+    #
+    # Any k parts: the product is prod(1 - x^d) over m = 2^(k-1) binomials,
+    # whose absolute coefficients sum to 2^m, times prod 1/(1 - x^d) over m
+    # more, whose coefficients are at most those of 1/(1 - x)^m, at most
+    # C(i + m - 1, m - 1).
+    #
+    # Distinct primes (a product phi(N); a factor 2 only flips signs): at
+    # most two odd ones give height 1. With more, s the top odd prime and n
+    # the product of the other odd ones, as power series
+    #   phi_ns = phi_n(x^s) / phi_n(x) = -phi_n(x^s) psi_n(x) sum_j x^(jn).
+    # [x^j] phi_n(x^s) psi_n(x) sums [x^a]phi_n [x^b]psi_n over a s + b = j,
+    # at most one term per b = j (mod s), so it is at most A(phi_n) C, with
+    # C the largest sum of |[x^b]psi_n| over one residue class b mod s.
+    # The series sums floor(i / n) + 1 of those into [x^i]. For three odd
+    # primes p < q < r, Bang's bound A(pqr) <= p - 1 holds as well.
+    if not primes:
+        m = 2 ** (len(parts) - 1)
+        return 2**m * comb(top + m - 1, m - 1)
+    odd = sorted(p for p in parts if p != 2)
+    if len(odd) <= 2:
+        return 1
+    s, n = odd[-1], prod(odd[:-1])
+    height_n, abs_psi = _prefix_sizes(n)
+    c = max(abs_psi) if s >= len(abs_psi) else max(sum(abs_psi[t::s]) for t in range(s))
+    bound = ((top - 1) // n + 1) * height_n * c
+    return min(bound, odd[0] - 1) if len(odd) == 3 else bound
+
+
+@lru_cache(maxsize=512)
+def _prefix_sizes(n: int) -> tuple[int, tuple[int, ...]]:
+    # A(phi_n) and the |[x^b]psi_n|, from the memoised sparse pair
+    phi_n, psi_n = _sparse_pair(n)
+    return max(map(abs, phi_n)), tuple(map(abs, psi_n))
+
+
+def _field_width(bound: int) -> int:
+    # the narrowest of 8, 16, 32 and 64 bits, else a multiple of 64, whose
+    # signed fields hold every value of size at most bound
+    b = 8
+    while bound >= 1 << (b - 1):
+        b = 2 * b if b < 64 else b + 64
+    return b
+
+
+def _over_binomial(x: int, e: int, b: int, top: int, mask: int) -> int:
+    # x / (1 - x^e) mod x^top on b-bit fields: x (1 + x^e)(1 + x^2e)(1 + x^4e)...
+    while e < top:
+        x = (x + (x << b * e)) & mask
+        e *= 2
+    return x
+
+
+_ARRAY_CODES = {array(c).itemsize: c for c in "qlihb"}
+_UNBIAS = bytes(v ^ 128 for v in range(256))
+# the bytes c + 128 with |c| <= t, for t = 0, 1, 3, 7, ..., 255
+_BANDS = tuple(
+    bytes(range(max(0, 128 - t), min(256, 129 + t))) for t in (0, 1, 3, 7, 15, 31, 63, 127, 255)
+)
+
+
+def _byte_height(u: bytes) -> int:
+    # u holds c + 128 per coefficient. Each pass drops a wider band of
+    # small |c| in C; what the last nonempty pass left holds the extremes.
+    rest = u
+    for band in _BANDS:
+        left = rest.translate(None, band)
+        if not left:
+            break
+        rest = left
+    return max(max(rest) - 128, 128 - min(rest))
+
+
+def _signed_fields(raw: bytes, w: int) -> Sequence[int]:
+    # little-endian two's-complement fields of w bytes each
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return tuple(
+            int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)
+        )
+    fields = array(code, raw)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
+    """The lower half of signed_subset_product(parts), a palindromic
+    polynomial, with its height. With primes (distinct primes, so the
+    product is phi of theirs) the field width comes from phi's height
+    bounds, otherwise from the generic one (see _height_bound)."""
+    plus, minus = _binomials(parts)
+    deg = sum(plus) - sum(minus)
+    at_one = prod(plus) // prod(minus)
+    top = deg // 2 + 2
+    b = _field_width(_height_bound(parts, primes, top))
+    w = b // 8
+    mask = (1 << b * top) - 1
+    # Kronecker substitution: x = 2^b maps Z[x]/(x^top) onto Z/2^(b top),
+    # one b-bit field per coefficient. There are as many binomials of each
+    # sign, so the product is prod(1 - x^d) over plus / prod(1 - x^d) over
+    # minus. Fields wrap on the way; only the result's must fit, and the
+    # bound sees to that. (1 - x^(de)) / (1 - x^d) = 1 + x^d + ... +
+    # x^(d(e-1)) for the least d of minus starts it.
+    d = min(minus)
+    de = min(e for e in plus if e % d == 0)
+    plus.remove(de)
+    minus.remove(d)
+    x = int.from_bytes((1).to_bytes(w * d, "little") * ((min(de, top) + d - 1) // d), "little")
+    for e in plus:
+        if e < top:
+            x = (x - (x << b * e)) & mask
+    for e in minus:
+        x = _over_binomial(x, e, b, top, mask)
+    # Decode: a bias on every field keeps it from borrowing from the next.
+    ones = int.from_bytes((1).to_bytes(w, "little") * top, "little")
+    z = (x + (ones << 7)) & mask
+    if not z & (mask ^ ones * 255):
+        # every coefficient c lies in [-128, 127]: one byte c + 128 each
+        u = z.to_bytes(w * top, "little")[::w]
+        coeffs = array("b", u.translate(_UNBIAS))
+        field_sum = sum(u) - 128 * top  # twice as fast as over coeffs
+    else:
+        bias = ones << (b - 1)
+        u = None
+        coeffs = _signed_fields((((x + bias) & mask) ^ bias).to_bytes(w * top, "little"), w)
+        field_sum = sum(coeffs)
     # A truncated series has no leading term or remainder to test, so two
     # exact self-checks stand in: the coefficient past the middle mirrors
     # the one before it, and the head, mirrored, sums to the value at 1.
     h = deg // 2
-    head = tuple(c[: h + 1])
-    if c[h + 1] != c[deg - h - 1]:
+    if coeffs[h + 1] != coeffs[deg - h - 1]:
         raise AssertionError("truncated series is not palindromic")
-    total = 2 * sum(head) - (head[h] if deg % 2 == 0 else 0)
+    total = 2 * (field_sum - coeffs[h + 1]) - (coeffs[h] if deg % 2 == 0 else 0)
     if total != at_one:
         raise AssertionError("truncated series has the wrong value at 1")
-    return head
+    height = _byte_height(u) if u is not None else max(max(coeffs), -min(coeffs))
+    return Head(coeffs[: h + 1], height)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +293,10 @@ def _phi_recursive(m: int) -> IntPolynomial:
     return cur
 
 
-def _sparse_step(
-    phi: tuple[int, ...], psi: tuple[int, ...], n: int, p: int, upto: int | None = None
-) -> list[int]:
+def _sparse_step(phi: tuple[int, ...], psi: tuple[int, ...], n: int, p: int) -> list[int]:
     # phi_np agrees with -psi_n(x) * phi_n(x^p) * (1 + x^n + x^(2n) + ...)
-    # through degree phi(n)(p-1); with upto, only through that degree. Both
-    # factors are power series, so truncating them is exact.
-    deg_new = (len(phi) - 1) * (p - 1)
-    top = deg_new if upto is None else upto
+    # through degree phi(n)(p-1)
+    top = (len(phi) - 1) * (p - 1)
     width = len(psi)
     acc = [0] * (top + 1)
     for k, v in enumerate(phi):
@@ -178,7 +309,7 @@ def _sparse_step(
         seg = acc[off:end]
         acc[off:end] = [u - v * w for u, w in zip(seg, psi)]
     _series_accumulate(acc, n)
-    if upto is None and acc[-1] != 1:
+    if acc[-1] != 1:
         raise AssertionError("sparse series lost the leading term")
     return acc
 
@@ -207,15 +338,14 @@ def _sparse_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(_sparse_step(phi, psi, n // p, p)), tuple(_psi_step(phi, psi, p))
 
 
-def _sparse_phi(m: int, upto: int | None = None) -> list[int]:
-    # phi_m for squarefree m >= 2, with upto only through that degree (a
-    # prime m comes whole). The top step is not memoised and builds no psi,
-    # so a one-off large m leaves neither behind.
+def _sparse_phi(m: int) -> list[int]:
+    # phi_m for squarefree m >= 2. The top step is not memoised and builds
+    # no psi, so a one-off large m leaves neither behind.
     p = nt.factorize(m)[-1][0]
     if p == m:
         return [1] * p
     phi, psi = _sparse_pair(m // p)
-    return _sparse_step(phi, psi, m // p, p, upto)
+    return _sparse_step(phi, psi, m // p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +425,11 @@ def _phi_gcd(m: int, n: int) -> IntPolynomial:
 _X_MINUS_1 = IntPolynomial((-1, 1))
 
 
-def _default_radical_phi(m: int, half: bool = False) -> IntPolynomial:
+def _default_radical_phi(m: int) -> IntPolynomial:
     primes = tuple(p for p, _ in nt.factorize(m))
     if sum(1 for p in primes if p != 2) < 2:
-        return signed_subset_product(primes, half=half)
-    if not half:
-        return IntPolynomial(_sparse_phi(m))
-    deg = prod(p - 1 for p in primes)
-    return IntPolynomial(_checked_head(_sparse_phi(m, deg // 2 + 1), deg, 1))
+        return signed_subset_product(primes)
+    return IntPolynomial(_sparse_phi(m))
 
 
 @lru_cache(maxsize=512)
@@ -314,14 +441,14 @@ def _phi_default(n: int) -> IntPolynomial:
 
 
 def phi_head(n: int) -> IntPolynomial:
-    """phi(n) through degree totient(n) // 2, by the default route with its
-    last step truncated there. phi(n) is palindromic for n >= 2, so these
-    coefficients carry its height and coefficient set; phi(1) = x - 1 is
-    not, and comes whole. Unlike phi's, the result is not cached."""
+    """phi(n) through degree totient(n) // 2, by the packed head kernel.
+    phi(n) is palindromic for n >= 2, so these coefficients carry its
+    height and coefficient set; phi(1) = x - 1 is not, and comes whole."""
     m, k = radical_reduce(n)
     if m == 1:
         return _X_MINUS_1
-    return substitute_power(_default_radical_phi(m, half=True), k)
+    head = signed_subset_head(tuple(p for p, _ in nt.factorize(m)), primes=True)
+    return substitute_power(IntPolynomial(tuple(head.coeffs)), k)
 
 
 def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:

@@ -12,19 +12,19 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import prod
+from operator import neg
 from typing import Callable, Iterator, NamedTuple
 
 from ._numtheory import is_prime
-from .cyclotomic import phi, phi_head, signed_subset_product
+from .cyclotomic import phi, signed_subset_head
 from .domains import chain4, coprime_tuples, odd_primes, odd_squarefree3, prime_tuples
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from .fjdecomp import fstar_shifts
-from .intpoly import IntPolynomial, coeff_set, poly_height, substitute_neg
+from .intpoly import IntPolynomial, poly_height
 from .pseudocyclo import pseudo_phi
 
 
@@ -80,10 +80,12 @@ def height_of(factors, multiplier: int = 1) -> int:
     suffices, since phi is palindromic."""
     odd = _odd_part_factors(factors)
     _check_multiplier(multiplier, factors)
+    if not odd:
+        return 1  # phi(1) = x - 1, phi(2) = x + 1
     family = _shift_family(odd)
     if family is not None:
         return max(map(poly_height, family))
-    return poly_height(phi_head(prod(odd)))
+    return signed_subset_head(odd, primes=True).height
 
 
 def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
@@ -94,18 +96,19 @@ def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
     odd = _odd_part_factors(factors)
     _check_multiplier(multiplier, factors)
     even = 2 in tuple(factors) or multiplier % 2 == 0
-    m = prod(odd)
+    if not odd:
+        return {0, 1} if even else {-1, 0, 1}
     if even:
-        if m == 1:
-            return {0, 1}
-        return coeff_set(substitute_neg(phi_head(m)))
+        # phi(2m)(x) = phi(m)(-x)
+        c = signed_subset_head(odd, primes=True).coeffs
+        return {0, *c[::2], *map(neg, c[1::2])}
     family = _shift_family(odd)
     if family is not None:
         out = {0}
         for f in family:
             out.update(f.coeffs)
         return out
-    return coeff_set(phi_head(m))
+    return {0, *signed_subset_head(odd, primes=True).coeffs}
 
 
 class VerdictStatus(Enum):
@@ -255,15 +258,11 @@ def height_record(factors: tuple, pseudo: bool) -> dict:
     the primes, or the inclusion-exclusion polynomial of the ascending
     parts (all > 1). Both are palindromic, so the height is read off the
     lower half of the expansion."""
-    if pseudo:
-        head = signed_subset_product(tuple(factors), half=True)
-    else:
-        head = phi_head(prod(factors))
     return {
         "n": prod(factors),
         "factors": list(factors),
         "degree": prod(q - 1 for q in factors),
-        "height": poly_height(head),
+        "height": signed_subset_head(tuple(factors), primes=not pseudo).height,
     }
 
 
@@ -561,6 +560,8 @@ def scan(
             store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)
             hits.extend(chunk_hits)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so start-up skips it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for lo, hi, records, chunk_hits in pool.map(_scan_chunk, descs):
                 store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)

@@ -7,7 +7,6 @@ rows; the CLI renders one PASS/FAIL line per property.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -221,6 +220,8 @@ def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
     if jobs <= 1:
         outcomes = map(_fj_check_chunk, chunks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so start-up skips it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_fj_check_chunk, chunks))
     merged: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}

@@ -84,6 +84,18 @@ def test_psi_golden(runner):
     assert r.stdout == "-1 -1 -1 0 0 1 1 1\n"
 
 
+def test_psi_large_degree_guard(runner):
+    # deg psi(n) = n - totient(n): 10^9 + 8 terms for 2 * (10^9 + 7), refused
+    # before any expansion; a large prime's psi is x - 1 and still prints
+    r = runner.invoke(main, ["psi", "--n", "2000000014"])
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr.count("\n") == 1 and "--force" in r.stderr
+    r = runner.invoke(main, ["psi", "--n", "1000000007"])
+    assert (r.exit_code, r.stdout) == (0, "-1 1\n")
+    r = runner.invoke(main, ["psi", "--n", "15", "--force"])
+    assert r.stdout == "-1 -1 -1 0 0 1 1 1\n"
+
+
 def test_pseudo_matches_phi_on_primes(runner):
     a = runner.invoke(main, ["pseudo", "--parts", "3,5"]).stdout
     b = runner.invoke(main, ["phi", "--n", "15"]).stdout

@@ -18,7 +18,7 @@ from cycloforge.cyclotomic import (
     phi_head,
     psi,
     radical_reduce,
-    signed_subset_product,
+    signed_subset_head,
 )
 from cycloforge.intpoly import (
     is_reciprocal,
@@ -222,7 +222,9 @@ def test_signed_subset_head_matches_full_expansion():
     tuples += [(2, 3, 5, 7), (3, 4, 5, 7), (4, 9, 5, 7), (8, 9, 25, 7)]
     for parts in tuples:
         f = pseudo_phi(parts)
-        assert signed_subset_product(parts, half=True) == _lower_half(f), parts
+        head = signed_subset_head(parts)
+        assert poly(head.coeffs) == _lower_half(f), parts
+        assert head.height == poly_height(f), parts
     assert len(tuples) > 200
 
 
@@ -237,33 +239,36 @@ def test_series_accumulate_both_passes():
         assert got == want, d
 
 
-def _noop(c, period):
-    pass
+# Broken versions of the packed kernel's step x / (1 - x^e): one that does
+# nothing, and one that adds 1 to the field before the last after the real
+# step.
 
 
-def _last_off(c, period):
-    _REAL_ACCUMULATE(c, period)
-    c[-2] += 1
+def _noop(x, e, b, top, mask):
+    return x
 
 
-_REAL_ACCUMULATE = cyclotomic._series_accumulate
+def _last_off(x, e, b, top, mask):
+    return _REAL_OVER(x, e, b, top, mask) + (1 << b * (top - 2))
+
+
+_REAL_OVER = cyclotomic._over_binomial
 
 
 @pytest.mark.parametrize("broken", [_noop, _last_off])
 def test_truncated_series_self_check_fires(monkeypatch, cold_sparse_memo, broken):
-    cyclotomic._sparse_pair(105)  # memoise a prefix: only the last step breaks
-    monkeypatch.setattr(cyclotomic, "_series_accumulate", broken)
+    monkeypatch.setattr(cyclotomic, "_over_binomial", broken)
     for n in (35, 303, 1155):
         with pytest.raises(AssertionError, match="truncated series"):
             phi_head(n)
     for parts in ((3, 4, 275), (4, 9, 25)):
         with pytest.raises(AssertionError, match="truncated series"):
-            signed_subset_product(parts, half=True)
+            signed_subset_head(parts)
 
 
 def test_truncated_series_mirror_check(monkeypatch, cold_sparse_memo):
     # a series step that does nothing leaves phi(15)'s head lopsided
-    monkeypatch.setattr(cyclotomic, "_series_accumulate", _noop)
+    monkeypatch.setattr(cyclotomic, "_over_binomial", _noop)
     with pytest.raises(AssertionError, match="not palindromic"):
         phi_head(15)
 
@@ -273,6 +278,10 @@ def test_self_checks_survive_python_O():
     script = (
         "import sys\n"
         "from cycloforge import cyclotomic as c\n"
+        "real = c._over_binomial\n"
+        "def last_off(x, e, b, top, mask):\n"
+        "    return real(x, e, b, top, mask) + (1 << b * (top - 2))\n"
+        "c._over_binomial = last_off\n"
         "c._series_accumulate = lambda c_, period: None\n"
         "for call in (lambda: c.phi_head(35), lambda: c.phi(35, c.PhiAlgorithm.SparseSeries)):\n"
         "    try:\n"

@@ -1,8 +1,12 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
-memo is bounded, and no constructor re-derives a polynomial."""
+memo is bounded, no constructor re-derives a polynomial, and importing
+the CLI loads no process-pool machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cycloforge
@@ -85,3 +89,17 @@ def test_no_post_init_derives_a_polynomial():
                         if label in DERIVING_CALLS:
                             found.append(f"{name}: {cls.name} calls {label}")
     assert found == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported on the --jobs > 1 paths only, so start-up skips it
+    script = (
+        "import sys, cycloforge.cli\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
