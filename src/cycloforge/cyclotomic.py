@@ -10,12 +10,13 @@ Internal kernels work on plain coefficient lists. Multiplying or exactly
 dividing by x^d - 1 is linear time, which makes the inclusion-exclusion
 product and the sparse-series route quasi-linear in the degree. The
 lower half of a palindromic product, which carries its height, comes
-from one packed kernel that runs on a single Python int instead.
+from one packed kernel that runs on a single Python int instead, through
+the packed codec in intpoly. The gcd route's pseudo-remainders go through
+intpoly's one long-division loop.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from enum import Enum
 from functools import lru_cache
@@ -26,7 +27,16 @@ from typing import NamedTuple, Sequence
 
 from . import _numtheory as nt
 from .errors import RemainderNonzero
-from .intpoly import IntPolynomial, geometric_series, poly_exact_div, substitute_power
+from .intpoly import (
+    IntPolynomial,
+    field_ones,
+    field_width,
+    geometric_series,
+    long_divide,
+    poly_exact_div,
+    substitute_power,
+    unpack,
+)
 
 
 class PhiAlgorithm(Enum):
@@ -172,15 +182,6 @@ def _prefix_sizes(n: int) -> tuple[int, tuple[int, ...]]:
     return max(map(abs, phi_n)), tuple(map(abs, psi_n))
 
 
-def _field_width(bound: int) -> int:
-    # the narrowest of 8, 16, 32 and 64 bits, else a multiple of 64, whose
-    # signed fields hold every value of size at most bound
-    b = 8
-    while bound >= 1 << (b - 1):
-        b = 2 * b if b < 64 else b + 64
-    return b
-
-
 def _over_binomial(x: int, e: int, b: int, top: int, mask: int) -> int:
     # x / (1 - x^e) mod x^top on b-bit fields: x (1 + x^e)(1 + x^2e)(1 + x^4e)...
     while e < top:
@@ -189,7 +190,6 @@ def _over_binomial(x: int, e: int, b: int, top: int, mask: int) -> int:
     return x
 
 
-_ARRAY_CODES = {array(c).itemsize: c for c in "qlihb"}
 _UNBIAS = bytes(v ^ 128 for v in range(256))
 # the bytes c + 128 with |c| <= t, for t = 0, 1, 3, 7, ..., 255
 _BANDS = tuple(
@@ -209,19 +209,6 @@ def _byte_height(u: bytes) -> int:
     return max(max(rest) - 128, 128 - min(rest))
 
 
-def _signed_fields(raw: bytes, w: int) -> Sequence[int]:
-    # little-endian two's-complement fields of w bytes each
-    code = _ARRAY_CODES.get(w)
-    if code is None:
-        return tuple(
-            int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)
-        )
-    fields = array(code, raw)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields
-
-
 def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
     """The lower half of signed_subset_product(parts), a palindromic
     polynomial, with its height. With primes (distinct primes, so the
@@ -231,7 +218,7 @@ def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
     deg = sum(plus) - sum(minus)
     at_one = prod(plus) // prod(minus)
     top = deg // 2 + 2
-    b = _field_width(_height_bound(parts, primes, top))
+    b = field_width(_height_bound(parts, primes, top))
     w = b // 8
     mask = (1 << b * top) - 1
     # Kronecker substitution: x = 2^b maps Z[x]/(x^top) onto Z/2^(b top),
@@ -251,7 +238,7 @@ def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
     for e in minus:
         x = _over_binomial(x, e, b, top, mask)
     # Decode: a bias on every field keeps it from borrowing from the next.
-    ones = int.from_bytes((1).to_bytes(w, "little") * top, "little")
+    ones = field_ones(b, top)
     z = (x + (ones << 7)) & mask
     if not z & (mask ^ ones * 255):
         # every coefficient c lies in [-128, 127]: one byte c + 128 each
@@ -259,9 +246,8 @@ def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
         coeffs = array("b", u.translate(_UNBIAS))
         field_sum = sum(u) - 128 * top  # twice as fast as over coeffs
     else:
-        bias = ones << (b - 1)
         u = None
-        coeffs = _signed_fields((((x + bias) & mask) ^ bias).to_bytes(w * top, "little"), w)
+        coeffs = unpack(x, b, top)
         field_sum = sum(coeffs)
     # A truncated series has no leading term or remainder to test, so two
     # exact self-checks stand in: the coefficient past the middle mirrors
@@ -372,26 +358,16 @@ def _primitive(c: list[int]) -> list[int]:
 
 
 def _prim_rem(a: list[int], b: list[int]) -> list[int]:
-    # primitive part of the pseudo-remainder of a by b
+    # primitive part of the pseudo-remainder of a by b: lc(b)^(deg a - deg b
+    # + 1) a divides by b with every quotient term exact over the integers
     db = len(b) - 1
-    lcb = b[-1]
-    rem = list(a)
-    while len(rem) - 1 >= db:
-        c = rem[-1]
-        shift = len(rem) - 1 - db
-        if lcb != 1:
-            rem = [v * lcb for v in rem]
-            c = rem[-1]
-        q, r = divmod(c, lcb)
-        if r:
-            raise AssertionError("pseudo-remainder step is not exact")
-        for j in range(db + 1):
-            rem[shift + j] -= q * b[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            return []
-    return _primitive(rem)
+    scale = b[-1] ** (len(a) - db)
+    rem = [v * scale for v in a]
+    long_divide(rem, b)
+    del rem[db:]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return _primitive(rem) if rem else []
 
 
 def poly_gcd_int(a: list[int], b: list[int]) -> list[int]:

@@ -7,12 +7,20 @@ degree is the NEG_INF sentinel, which compares below every integer.
 
 The canonical text form is the space-separated coefficient list from
 degree 0 upward, e.g. "1 -1 1" for x^2 - x + 1.
+
+Two kernels carry the arithmetic. Products go through the packed codec
+(Kronecker substitution: a polynomial evaluated at x = 2^b is one Python
+int, one signed b-bit field per coefficient), which the packed head
+kernel in cyclotomic shares. Quotients and remainders, exact or pseudo,
+go through the one long-division loop, long_divide.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero, IndexOutOfRange, RemainderNonzero
 
@@ -108,32 +116,76 @@ def poly_sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(_trim(out))
 
 
-def _nonzeros(coeffs: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(i, c) for i, c in enumerate(coeffs) if c]
+# ---------------------------------------------------------------------------
+# packed codec: sum c_i 2^(b i), one signed b-bit field per coefficient
+
+_ARRAY_CODES = {array(c).itemsize: c for c in "qlihb"}
+
+
+def field_width(bound: int) -> int:
+    """The narrowest of 8, 16, 32 and 64 bits, else a multiple of 64, whose
+    signed fields hold every value of size at most bound."""
+    b = 8
+    while bound >= 1 << (b - 1):
+        b = 2 * b if b < 64 else b + 64
+    return b
+
+
+def field_ones(b: int, count: int) -> int:
+    """A 1 in the low bit of each of count b-bit fields."""
+    return int.from_bytes((1).to_bytes(b // 8, "little") * count, "little")
+
+
+def _pack(coeffs: Sequence[int], b: int) -> int:
+    # sum c_i 2^(b i), for coefficients of size below 2^(b - 1)
+    w = b // 8
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        raw = b"".join(c.to_bytes(w, "little", signed=True) for c in coeffs)
+    else:
+        fields = array(code, coeffs)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        raw = fields.tobytes()
+    u = int.from_bytes(raw, "little")
+    # a negative c reads as c + 2^b, its sign bit set: take 2^b back off
+    return u - ((u & (field_ones(b, len(coeffs)) << (b - 1))) << 1)
+
+
+def unpack(x: int, b: int, count: int) -> Sequence[int]:
+    """The count coefficients c_i of x = sum c_i 2^(b i) mod 2^(b count),
+    each of them in [-2^(b - 1), 2^(b - 1))."""
+    w = b // 8
+    bias = field_ones(b, count) << (b - 1)
+    # the bias keeps a negative field from borrowing from the next one, and
+    # flipping it back off leaves each field in two's complement
+    raw = (((x + bias) & ((1 << b * count) - 1)) ^ bias).to_bytes(w * count, "little")
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return tuple(
+            int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)
+        )
+    fields = array(code, raw)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact convolution; iterates over the operand with fewer nonzeros."""
-    if not a.coeffs or not b.coeffs:
-        return ZERO
+    """Exact product by Kronecker substitution: both operands packed at
+    x = 2^w, one big-int multiply, and the product's fields decoded."""
     xs, ys = a.coeffs, b.coeffs
-    nx = _nonzeros(xs)
-    ny = _nonzeros(ys)
-    if len(ny) < len(nx):
-        nx, ny = ny, nx
-        xs, ys = ys, xs
-    out = [0] * (len(xs) + len(ys) - 1)
-    if 2 * len(ny) < len(ys):
-        # both operands sparse by density: pair products beat slice updates
-        for i, c in nx:
-            for j, v in ny:
-                out[i + j] += c * v
-    else:
-        width = len(ys)
-        for i, c in nx:
-            seg = out[i : i + width]
-            out[i : i + width] = [u + c * v for u, v in zip(seg, ys)]
-    return IntPolynomial(_trim(out))
+    if not xs or not ys:
+        return ZERO
+    # [x^k](a b) sums at most min(nonzeros) products of a coefficient of a
+    # and one of b, so this bound, proved from the operands and never read
+    # off the product, holds every field of the product and of both operands
+    terms = min(len(xs) - xs.count(0), len(ys) - ys.count(0))
+    w = field_width(terms * max(map(abs, xs)) * max(map(abs, ys)))
+    out = unpack(_pack(xs, w) * _pack(ys, w), w, len(xs) + len(ys) - 1)
+    if sum(xs) * sum(ys) != sum(out):
+        raise AssertionError("packed product has the wrong value at 1")
+    return IntPolynomial(tuple(out))
 
 
 def poly_mul_scalar(a: IntPolynomial, c: int) -> IntPolynomial:
@@ -142,11 +194,12 @@ def poly_mul_scalar(a: IntPolynomial, c: int) -> IntPolynomial:
     return IntPolynomial(tuple(v * c for v in a.coeffs))
 
 
-def _long_divide(rem: list[int], bl: tuple[int, ...]) -> list[int]:
-    # Divides rem by the nonzero divisor bl in place, leaving the remainder
-    # in rem[:len(bl) - 1], and returns the quotient. Raises RemainderNonzero
-    # when the divisor's leading coefficient does not divide a term. Dense
-    # divisors update by slices, sparse ones by their nonzero pairs.
+def long_divide(rem: list[int], bl: Sequence[int]) -> list[int]:
+    """Divide the coefficient list rem by the nonzero divisor bl in place,
+    leaving the remainder in rem[:len(bl) - 1], and return the quotient.
+    Raises RemainderNonzero when the divisor's leading coefficient does not
+    divide a term."""
+    # dense divisors update by slices, sparse ones by their nonzero pairs
     db = len(bl) - 1
     blead = bl[-1]
     lower = bl[:db]
@@ -182,7 +235,7 @@ def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if len(a.coeffs) - 1 < db:
         raise RemainderNonzero("divisor degree exceeds dividend degree")
     rem = list(a.coeffs)
-    q = _long_divide(rem, b.coeffs)
+    q = long_divide(rem, b.coeffs)
     if any(rem[:db]):
         raise RemainderNonzero("nonzero remainder")
     return IntPolynomial(_trim(q))
@@ -199,7 +252,7 @@ def poly_mod_monic(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if len(a.coeffs) - 1 < db:
         return a
     rem = list(a.coeffs)
-    _long_divide(rem, bl)
+    long_divide(rem, bl)
     return IntPolynomial(_trim(rem[:db]))
 
 

@@ -13,15 +13,19 @@ from hypothesis import given, settings, strategies as st
 from cycloforge import cyclotomic
 from cycloforge._numtheory import factorize, mobius, radical, totient
 from cycloforge.cyclotomic import (
+    GCD_ALG_LIMIT,
     PhiAlgorithm,
     phi,
     phi_head,
+    poly_gcd_int,
     psi,
     radical_reduce,
     signed_subset_head,
 )
+from cycloforge.errors import RemainderNonzero
 from cycloforge.intpoly import (
     is_reciprocal,
+    long_divide,
     monomial,
     poly,
     poly_height,
@@ -97,10 +101,40 @@ def test_four_algorithms_agree_sample():
 
 def test_mobius_matches_sparse_grid():
     # the inclusion-exclusion route against the sparse series, squarefree
-    # or not, up to order 5
+    # or not, up to order 5, and the gcd route within its limit
     for m in [*range(1, 700), 1155, 2310, 3003, 4199, 5005, 15015, 45045]:
         mobius = phi(m, PhiAlgorithm.MobiusProduct)
         assert mobius == phi(m, PhiAlgorithm.SparseSeries), m
+        if m <= GCD_ALG_LIMIT:
+            assert mobius == phi(m, PhiAlgorithm.GcdOfSparse), m
+
+
+@pytest.mark.parametrize(
+    "g, u, v, expect",
+    [
+        ([1, 2], [3, 1], [-1, 1], [1, 2]),  # lc 2
+        ([-1, -2], [3, 1], [-1, 1], [1, 2]),  # negated: the gcd's lc is positive
+        ([-2, 3], [1, 0, 1], [5, 1], [-2, 3]),  # lc 3
+        ([3, 0, 2], [1, 1, 0, 5], [-1, 3], [3, 0, 2]),  # lc 2, degrees 5 and 3
+        ([1, 1, 1], [-2, 1], [-1], [1, 1, 1]),  # divisor with lc -1
+        ([6, 6], [2, 1], [4], [1, 1]),  # contents 6 and 24 drop out
+        ([1], [1, 2], [1, 3], [1]),  # coprime, both non-monic
+    ],
+)
+def test_gcd_of_non_monic_divisors(g, u, v, expect):
+    a = list(poly_mul(poly(g), poly(u)).coeffs)
+    b = list(poly_mul(poly(g), poly(v)).coeffs)
+    assert poly_gcd_int(a, b) == expect
+    assert poly_gcd_int(b, a) == expect
+
+
+def test_inexact_pseudo_division_raises():
+    # x^2 + 1 by 2x + 1 needs the dividend scaled by 2^2 first
+    with pytest.raises(RemainderNonzero):
+        long_divide([1, 0, 1], [1, 2])
+    rem = [4, 0, 4]
+    assert long_divide(rem, [1, 2]) == [-1, 2]
+    assert rem[:1] == [5]
 
 
 def test_gcd_alg_limit():

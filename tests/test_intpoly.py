@@ -4,9 +4,12 @@ Expected values below are frozen by hand (small products and quotients
 worked out independently) before the implementation was written.
 """
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from cycloforge import intpoly
 from cycloforge.errors import DivisionByZero, IndexOutOfRange, RemainderNonzero
 from cycloforge.intpoly import (
     NEG_INF,
@@ -15,6 +18,7 @@ from cycloforge.intpoly import (
     IntPolynomial,
     coeff_set,
     extract_residue,
+    field_width,
     from_json_coeffs,
     from_text,
     geometric_series,
@@ -68,6 +72,61 @@ def test_mul():
     x15_minus_1 = poly([-1] + [0] * 14 + [1])
     assert poly_mul(PHI15, PSI15) == x15_minus_1
     assert poly_mul(ZERO, PHI15) == ZERO
+
+
+def _convolve(xs, ys):
+    # the schoolbook double loop, the reference the packed product must equal
+    out = [0] * max(0, len(xs) + len(ys) - 1)
+    ys_nonzero = [(j, v) for j, v in enumerate(ys) if v]
+    for i, c in enumerate(xs):
+        for j, v in ys_nonzero:
+            out[i + j] += c * v
+    return poly(out)
+
+
+def _mul_cases():
+    rng = random.Random(10)
+    cases = []
+    # random dense operands of every field width, up to coefficients past 2^64
+    for height in (1, 9, 127, 2**10, 2**20, 2**40, 2**62, 2**64 + 3, 2**100):
+        for la, lb in ((1, 1), (3, 40), (25, 25), (1, 60), (300, 2)):
+            xs = [rng.randint(-height, height) for _ in range(la)]
+            ys = [rng.randint(-height, height) for _ in range(lb)]
+            cases.append((poly(xs), poly(ys)))
+    # coefficients exactly at +-(2^(b-1) - 1), the edge of a field, and one past
+    for b in (8, 16, 32, 64, 128):
+        edge = 2 ** (b - 1) - 1
+        for c in (edge, -edge, edge + 1, -edge - 1):
+            cases.append((monomial(2, c), poly([1, 0, -1])))
+            cases.append((poly([c, 0, 0, c]), poly([-1])))
+    # zero, length-1 and sparse operands, and very unequal lengths
+    cases += [(ZERO, PHI35), (PHI35, ZERO), (ONE, PHI35), (poly([-3]), poly([5]))]
+    cases += [(monomial(1), PHI35), (PHI35, monomial(1)), (monomial(0, -1), monomial(7, 2))]
+    cases += [
+        (geometric_series(p, mu), geometric_series(q, lam))
+        for p, q, mu, lam in ((3, 5, 2, 4), (7, 11, 6, 1), (13, 17, 9, 12), (101, 103, 50, 77))
+    ]
+    cases.append((poly([rng.randint(-5, 5) for _ in range(2000)]), poly([1, -2, 1])))
+    cases.append((poly([1, -1]), poly([rng.randint(-(2**70), 2**70) for _ in range(500)])))
+    return cases
+
+
+def test_mul_matches_schoolbook_convolution():
+    widths = set()
+    for a, b in _mul_cases():
+        assert poly_mul(a, b) == _convolve(a.coeffs, b.coeffs), (a, b)
+        if a and b:
+            nonzeros = min(len(a.coeffs) - a.coeffs.count(0), len(b.coeffs) - b.coeffs.count(0))
+            widths.add(field_width(nonzeros * poly_height(a) * poly_height(b)))
+    assert {8, 16, 32, 64, 128, 192} <= widths
+
+
+def test_mul_width_is_load_bearing(monkeypatch):
+    # one byte per field cannot hold 300: the value at 1 catches the wrap
+    monkeypatch.setattr(intpoly, "field_width", lambda bound: 8)
+    assert poly_mul(poly([1, 100]), poly([1, 1])) == poly([1, 101, 100])
+    with pytest.raises(AssertionError):
+        poly_mul(poly([1, 100]), poly([1, 3]))
 
 
 def test_exact_div():

@@ -7,7 +7,7 @@ from math import prod
 
 import pytest
 
-from cycloforge import cyclotomic
+from cycloforge import cyclotomic, intpoly
 from cycloforge.cyclotomic import phi, signed_subset_head
 from cycloforge.domains import coprime_tuples, prime_tuples
 from cycloforge.flatness import coefficient_set_of, height_of
@@ -33,7 +33,7 @@ def _width(parts, primes):
     plus, minus = cyclotomic._binomials(parts)
     top = (sum(plus) - sum(minus)) // 2 + 2
     bound = cyclotomic._height_bound(parts, primes, top)
-    return bound, cyclotomic._field_width(bound)
+    return bound, intpoly.field_width(bound)
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +96,7 @@ def test_widths_come_from_the_parts_and_cover_the_height(full):
 
 
 def test_field_width_steps():
-    assert [cyclotomic._field_width(v) for v in (0, 127, 128, 2**15, 2**31, 2**63, 2**64)] == [
+    assert [intpoly.field_width(v) for v in (0, 127, 128, 2**15, 2**31, 2**63, 2**64)] == [
         8, 8, 16, 32, 64, 128, 128
     ]
 
@@ -107,7 +107,7 @@ def test_wider_than_64_bits_decodes(monkeypatch):
     f = pseudo_phi((8, 9, 25, 7))
     assert _width((8, 9, 25, 7), False)[1] > 64
     assert signed_subset_head((8, 9, 25, 7)).height == poly_height(f)
-    monkeypatch.setattr(cyclotomic, "_field_width", lambda bound: 192)
+    monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 192)
     head = signed_subset_head(WIDE, primes=True)
     assert head.height == 359
 
@@ -115,7 +115,7 @@ def test_wider_than_64_bits_decodes(monkeypatch):
 def test_proved_width_is_load_bearing(monkeypatch):
     # one byte per field cannot hold 40755's coefficients: the wrapped head
     # fails a self-check or reads a different height
-    monkeypatch.setattr(cyclotomic, "_field_width", lambda bound: 8)
+    monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 8)
     try:
         height = signed_subset_head(WIDE, primes=True).height
     except AssertionError:
