@@ -93,7 +93,13 @@ def _mul_cases():
             xs = [rng.randint(-height, height) for _ in range(la)]
             ys = [rng.randint(-height, height) for _ in range(lb)]
             cases.append((poly(xs), poly(ys)))
-    # coefficients exactly at +-(2^(b-1) - 1), the edge of a field, and one past
+    # t equal terms times t ones: the middle coefficient is the proved bound,
+    # exactly +-(2^(b-1) - 1), the edge of a b-bit field, for b = 8, 16, 64
+    for b, t in ((8, 127), (16, 7), (64, 7)):
+        edge = 2 ** (b - 1) - 1
+        for c in (edge // t, -(edge // t)):
+            cases.append((poly([c] * t), poly([1] * t)))
+    # coefficients at the edge of a field and one past, in sparse operands
     for b in (8, 16, 32, 64, 128):
         edge = 2 ** (b - 1) - 1
         for c in (edge, -edge, edge + 1, -edge - 1):
@@ -106,9 +112,20 @@ def _mul_cases():
         (geometric_series(p, mu), geometric_series(q, lam))
         for p, q, mu, lam in ((3, 5, 2, 4), (7, 11, 6, 1), (13, 17, 9, 12), (101, 103, 50, 77))
     ]
+    cases += [(geometric_series(1, 40), geometric_series(1, 40)), (poly([1, 0, -1]), PHI35)]
     cases.append((poly([rng.randint(-5, 5) for _ in range(2000)]), poly([1, -2, 1])))
     cases.append((poly([1, -1]), poly([rng.randint(-(2**70), 2**70) for _ in range(500)])))
     return cases
+
+
+def _packed_width(a, b):
+    # the field width poly_mul packs at, or None when it sums the pairs of
+    # nonzero terms directly because there are no more of them than the
+    # product has coefficients
+    ta, tb = len(a.coeffs) - a.coeffs.count(0), len(b.coeffs) - b.coeffs.count(0)
+    if ta * tb <= len(a.coeffs) + len(b.coeffs) - 1:
+        return None
+    return field_width(min(ta, tb) * poly_height(a) * poly_height(b))
 
 
 def test_mul_matches_schoolbook_convolution():
@@ -116,9 +133,31 @@ def test_mul_matches_schoolbook_convolution():
     for a, b in _mul_cases():
         assert poly_mul(a, b) == _convolve(a.coeffs, b.coeffs), (a, b)
         if a and b:
-            nonzeros = min(len(a.coeffs) - a.coeffs.count(0), len(b.coeffs) - b.coeffs.count(0))
-            widths.add(field_width(nonzeros * poly_height(a) * poly_height(b)))
-    assert {8, 16, 32, 64, 128, 192} <= widths
+            widths.add(_packed_width(a, b))
+    # both routes run, the packed one at every width step
+    assert {None, 8, 16, 32, 64, 128, 192} <= widths
+
+
+def test_mul_sparse_operands_skip_the_packing(monkeypatch):
+    # geometric series with coprime steps, as in staircase_multiple, have
+    # about a quarter as many pairs of terms as their product coefficients:
+    # packing them would pay for every zero field
+    def refuse(coeffs, bits):
+        raise RuntimeError("packed")
+
+    monkeypatch.setattr(intpoly, "_pack", refuse)
+    a, b = geometric_series(997, 500), geometric_series(1009, 495)
+    assert poly_mul(a, b) == _convolve(a.coeffs, b.coeffs)
+    assert poly_mul(monomial(1), PHI35) == poly((0,) + PHI35.coeffs)
+    with pytest.raises(RuntimeError):
+        poly_mul(PHI35, PHI35)
+
+
+def test_codec_round_trips_field_edges():
+    for b in (8, 16, 32, 64, 128, 192):
+        edge = 2 ** (b - 1) - 1
+        xs = [edge, -edge, -edge - 1, 0, 1, -1, edge]
+        assert list(intpoly.unpack(intpoly._pack(xs, b), b, len(xs))) == xs
 
 
 def test_mul_width_is_load_bearing(monkeypatch):
