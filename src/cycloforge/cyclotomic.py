@@ -1,18 +1,22 @@
-"""Cyclotomic polynomials by four independent algorithms.
+"""Cyclotomic polynomials: one default route and four independent oracles.
 
 phi(n) returns the n-th cyclotomic polynomial, psi(n) its cofactor in
-x^n - 1. Every algorithm first reduces to the squarefree radical m of n
-(the polynomial for n is the one for m evaluated at x^(n/m)) and the
-four algorithms must agree exactly; the test suite diffs them against
-each other.
+x^n - 1. Every route first reduces to the squarefree radical m of n (the
+polynomial for n is the one for m evaluated at x^(n/m)).
 
-Internal kernels work on plain coefficient lists. Multiplying or exactly
+phi_m for m >= 2 and every inclusion-exclusion product are palindromic,
+so the default phi, like pseudo_phi, is the lower half from one packed
+kernel that runs on a single Python int (through the packed codec in
+intpoly), followed by its mirror image. The four explicit algorithms
+must agree with it exactly; the test suite and the verify suites diff
+them against it.
+
+Those oracles work on plain coefficient lists. Multiplying or exactly
 dividing by x^d - 1 is linear time, which makes the inclusion-exclusion
-product and the sparse-series route quasi-linear in the degree. The
-lower half of a palindromic product, which carries its height, comes
-from one packed kernel that runs on a single Python int instead, through
-the packed codec in intpoly. The gcd route's pseudo-remainders go through
-intpoly's one long-division loop.
+product and the sparse-series route quasi-linear in the degree; the
+sparse series also serves psi and the packed kernel's height bound. The
+gcd route's pseudo-remainders go through intpoly's one long-division
+loop.
 """
 
 from __future__ import annotations
@@ -262,6 +266,14 @@ def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
     return Head(coeffs[: h + 1], height)
 
 
+def head_and_mirror(parts: tuple[int, ...], primes: bool = False) -> IntPolynomial:
+    """signed_subset_product(parts) for parts > 1: the packed head followed
+    by its mirror image, since the product is palindromic."""
+    c = signed_subset_head(parts, primes).coeffs
+    deg = prod(p - 1 for p in parts)
+    return IntPolynomial(tuple(c + c[deg - len(c) :: -1]))
+
+
 # ---------------------------------------------------------------------------
 # the four algorithms (each takes the squarefree radical m >= 2)
 
@@ -401,41 +413,24 @@ def _phi_gcd(m: int, n: int) -> IntPolynomial:
 _X_MINUS_1 = IntPolynomial((-1, 1))
 
 
-def _default_radical_phi(m: int) -> IntPolynomial:
-    primes = tuple(p for p, _ in nt.factorize(m))
-    if sum(1 for p in primes if p != 2) < 2:
-        return signed_subset_product(primes)
-    return IntPolynomial(_sparse_phi(m))
-
-
 @lru_cache(maxsize=512)
 def _phi_default(n: int) -> IntPolynomial:
     m, k = radical_reduce(n)
     if m == 1:
         return _X_MINUS_1
-    return substitute_power(_default_radical_phi(m), k)
-
-
-def phi_head(n: int) -> IntPolynomial:
-    """phi(n) through degree totient(n) // 2, by the packed head kernel.
-    phi(n) is palindromic for n >= 2, so these coefficients carry its
-    height and coefficient set; phi(1) = x - 1 is not, and comes whole."""
-    m, k = radical_reduce(n)
-    if m == 1:
-        return _X_MINUS_1
-    head = signed_subset_head(tuple(p for p, _ in nt.factorize(m)), primes=True)
-    return substitute_power(IntPolynomial(tuple(head.coeffs)), k)
+    primes = tuple(p for p, _ in nt.factorize(m))
+    return substitute_power(head_and_mirror(primes, primes=True), k)
 
 
 def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     """The n-th cyclotomic polynomial (monic, degree totient(n)).
 
-    With alg=None a cached default route is used (sparse series for
-    squarefree radicals of two or more odd primes, inclusion-exclusion
-    product otherwise). Passing an explicit algorithm always recomputes,
-    so differential tests compare genuinely independent code paths; an
-    explicit SparseSeries recomputes the top step but may reuse memoised
-    prefixes.
+    With alg=None the cached default is used: the packed head of the
+    inclusion-exclusion product over the radical's primes, followed by its
+    mirror image (head_and_mirror). Passing an explicit algorithm always
+    recomputes, so differential tests and the verify suites compare
+    genuinely independent code paths; an explicit SparseSeries recomputes
+    the top step but may reuse memoised prefixes.
     """
     if n < 1:
         raise ValueError("n must be positive")

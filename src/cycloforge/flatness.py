@@ -20,12 +20,11 @@ from operator import neg
 from typing import Callable, Iterator, NamedTuple
 
 from ._numtheory import is_prime
-from .cyclotomic import phi, signed_subset_head
+from .cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
 from .domains import chain4, coprime_tuples, odd_primes, odd_squarefree3, prime_tuples
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from .fjdecomp import fstar_shifts
 from .intpoly import IntPolynomial, poly_height
-from .pseudocyclo import pseudo_phi
 
 
 def _odd_part_factors(factors) -> tuple[int, ...]:
@@ -511,8 +510,10 @@ def _recomputed_heights(tag: str, rec: dict) -> list[int]:
     pseudo = _TAGS[tag].pseudo
     factors = tuple(rec["factors"])
 
+    # expanded by the list kernels, independent of the packed head that
+    # wrote the records
     def h(fs: tuple) -> int:
-        f = pseudo_phi(list(fs)) if pseudo else phi(prod(fs))
+        f = signed_subset_product(fs) if pseudo else phi(prod(fs), PhiAlgorithm.SparseSeries)
         return poly_height(f)
 
     if "p" in rec:

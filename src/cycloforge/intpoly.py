@@ -318,20 +318,9 @@ def to_text(a: IntPolynomial) -> str:
     return " ".join(str(c) for c in a.coeffs)
 
 
-def from_text(text: str) -> IntPolynomial:
-    parts = text.split()
-    if not parts or parts == ["0"]:
-        return ZERO
-    return IntPolynomial(tuple(int(p) for p in parts))
-
-
 _I64_MAX = 2**63
 
 
 def to_json_coeffs(a: IntPolynomial) -> list:
     """JSON array form; values outside 64-bit range become decimal strings."""
     return [c if -_I64_MAX <= c < _I64_MAX else str(c) for c in a.coeffs]
-
-
-def from_json_coeffs(values: list) -> IntPolynomial:
-    return IntPolynomial(tuple(int(v) for v in values))

@@ -15,7 +15,7 @@ from math import gcd, prod
 from typing import Iterable, Union
 
 from ._numtheory import divisors
-from .cyclotomic import signed_subset_product
+from .cyclotomic import head_and_mirror, signed_subset_product
 from .errors import NotCoprime
 from .intpoly import ONE, IntPolynomial
 
@@ -60,11 +60,12 @@ def _coerce(parts: PartsLike) -> PseudoParts:
 
 
 def pseudo_phi(parts: PartsLike) -> IntPolynomial:
-    """Signed-subset product; degree is the product of (p_i - 1)."""
+    """Signed-subset product, from its packed head and the mirror image;
+    degree is the product of (p_i - 1)."""
     ps = _coerce(parts).canonical
     if 1 in ps:
         return ONE
-    return signed_subset_product(ps)
+    return head_and_mirror(ps)
 
 
 def pseudo_psi(parts: PartsLike) -> IntPolynomial:

@@ -12,7 +12,13 @@ from math import gcd, prod
 
 from ._numtheory import primes_up_to, totient
 from .binary_structure import mod_phi_reduce, staircase_multiple
-from .cyclotomic import phi, poly_gcd_int
+from .cyclotomic import (
+    PhiAlgorithm,
+    phi,
+    poly_gcd_int,
+    signed_subset_head,
+    signed_subset_product,
+)
 from .domains import coprime_tuples, prime_tuples, squarefree
 from .errors import UnknownSuite
 from .fjdecomp import (
@@ -340,7 +346,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
         if r % pq not in (2, pq - 2):
             continue
         count += 1
-        flat = poly_height(pseudo_phi([p, q, r])) == 1
+        flat = signed_subset_head((p, q, r)).height == 1
         if flat != (q % p == 1):
             r2_bad.append((p, q, r))
     out.append(
@@ -366,7 +372,9 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
     bigtop = 0
     for n, (p, q, r) in prime_tuples(3, 1, limit):
         triples += 1
-        f = phi(n)
+        # the sparse series, not the packed head that default phi shares
+        # with the scans
+        f = phi(n, PhiAlgorithm.SparseSeries)
         h = poly_height(f)
         if not _head_record_ok((p, q, r), False, f):
             head_bad.append((p, q, r))
@@ -397,7 +405,7 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
     pseudo = 0
     for _, parts in coprime_tuples(3, 1, limit // 15):
         pseudo += 1
-        if not _head_record_ok(parts, True, pseudo_phi(parts)):
+        if not _head_record_ok(parts, True, signed_subset_product(parts)):
             head_bad.append(parts)
     return [
         _result(

@@ -16,12 +16,13 @@ from cycloforge.cyclotomic import (
     GCD_ALG_LIMIT,
     PhiAlgorithm,
     phi,
-    phi_head,
     poly_gcd_int,
     psi,
     radical_reduce,
     signed_subset_head,
+    signed_subset_product,
 )
+from cycloforge.domains import coprime_tuples
 from cycloforge.errors import RemainderNonzero
 from cycloforge.intpoly import (
     is_reciprocal,
@@ -219,27 +220,26 @@ def test_default_matches_mobius(n):
     assert phi(n) == phi(n, PhiAlgorithm.MobiusProduct)
 
 
-def _lower_half(f):
-    return poly(f.coeffs[: f.degree // 2 + 1])
-
-
 @pytest.fixture
-def cold_sparse_memo():
-    # the sparse-chain memo starts empty, and a test that breaks a kernel
-    # leaves no wrong entry in it for the tests after
-    cyclotomic._sparse_pair.cache_clear()
+def cold_memos():
+    # the default-phi and sparse-chain memos start empty, and a test that
+    # breaks a kernel leaves no wrong entry in them for the tests after
+    for memo in (cyclotomic._phi_default, cyclotomic._sparse_pair):
+        memo.cache_clear()
     yield
-    cyclotomic._sparse_pair.cache_clear()
+    for memo in (cyclotomic._phi_default, cyclotomic._sparse_pair):
+        memo.cache_clear()
 
 
-def test_phi_head_matches_full_expansion(cold_sparse_memo):
-    # orders 1-5, with factors of 2 and square parts, from an empty memo
-    assert phi_head(1) == phi(1)
-    ns = [*range(2, 800), 1155, 2310, 3003, 4199, 5005, 15015, 45045, 2 * 3 * 5 * 7 * 11 * 13]
+def test_phi_head_matches_full_expansion(cold_memos):
+    # default phi, the packed head and its mirror, against the sparse series
+    # and the inclusion-exclusion product: every n <= 1000 and orders up to
+    # 6, with factors of 2 and square parts, from an empty memo
+    ns = [*range(1, 1001), 1155, 2310, 3003, 4199, 5005, 15015, 45045, 2 * 3 * 5 * 7 * 11 * 13]
     for n in ns:
         f = phi(n)
-        assert phi_head(n) == _lower_half(f), n
-        assert poly_height(phi_head(n)) == poly_height(f), n
+        assert f == phi(n, PhiAlgorithm.SparseSeries), n
+        assert f == phi(n, PhiAlgorithm.MobiusProduct), n
 
 
 def _coprime(parts):
@@ -247,19 +247,20 @@ def _coprime(parts):
 
 
 def test_signed_subset_head_matches_full_expansion():
-    # pseudo tuples with a part 2, prime powers and composite parts,
-    # including (3, 4, 275), whose long periods exceed the head's length
+    # pseudo_phi, the packed head and its mirror, against the list kernel:
+    # every coprime tuple with product <= 1000, and tuples with a part 2,
+    # prime powers and composite parts, including (3, 4, 275), whose long
+    # periods exceed the head's length
     pool = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 275]
-    tuples = [(3, 4, 275)]
+    tuples = [parts for _, parts in coprime_tuples(None, 1, 1000)] + [(3, 4, 275)]
     for k in (1, 2, 3):
         tuples += [c for c in combinations(pool, k) if _coprime(c) and prod(c) <= 20000]
     tuples += [(2, 3, 5, 7), (3, 4, 5, 7), (4, 9, 5, 7), (8, 9, 25, 7)]
     for parts in tuples:
-        f = pseudo_phi(parts)
-        head = signed_subset_head(parts)
-        assert poly(head.coeffs) == _lower_half(f), parts
-        assert head.height == poly_height(f), parts
-    assert len(tuples) > 200
+        f = signed_subset_product(parts)
+        assert pseudo_phi(parts) == f, parts
+        assert signed_subset_head(parts).height == poly_height(f), parts
+    assert len(tuples) > 2000
 
 
 def test_series_accumulate_both_passes():
@@ -290,21 +291,21 @@ _REAL_OVER = cyclotomic._over_binomial
 
 
 @pytest.mark.parametrize("broken", [_noop, _last_off])
-def test_truncated_series_self_check_fires(monkeypatch, cold_sparse_memo, broken):
+def test_truncated_series_self_check_fires(monkeypatch, cold_memos, broken):
     monkeypatch.setattr(cyclotomic, "_over_binomial", broken)
     for n in (35, 303, 1155):
         with pytest.raises(AssertionError, match="truncated series"):
-            phi_head(n)
+            phi(n)
     for parts in ((3, 4, 275), (4, 9, 25)):
         with pytest.raises(AssertionError, match="truncated series"):
             signed_subset_head(parts)
 
 
-def test_truncated_series_mirror_check(monkeypatch, cold_sparse_memo):
+def test_truncated_series_mirror_check(monkeypatch, cold_memos):
     # a series step that does nothing leaves phi(15)'s head lopsided
     monkeypatch.setattr(cyclotomic, "_over_binomial", _noop)
     with pytest.raises(AssertionError, match="not palindromic"):
-        phi_head(15)
+        phi(15)
 
 
 def test_self_checks_survive_python_O():
@@ -317,7 +318,7 @@ def test_self_checks_survive_python_O():
         "    return real(x, e, b, top, mask) + (1 << b * (top - 2))\n"
         "c._over_binomial = last_off\n"
         "c._series_accumulate = lambda c_, period: None\n"
-        "for call in (lambda: c.phi_head(35), lambda: c.phi(35, c.PhiAlgorithm.SparseSeries)):\n"
+        "for call in (lambda: c.phi(35), lambda: c.phi(35, c.PhiAlgorithm.SparseSeries)):\n"
         "    try:\n"
         "        call()\n"
         "    except AssertionError as exc:\n"
@@ -332,14 +333,13 @@ def test_self_checks_survive_python_O():
     assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
 
 
-def test_sparse_builds_last_psi_only_when_kept(monkeypatch, cold_sparse_memo):
+def test_sparse_builds_last_psi_only_when_kept(monkeypatch, cold_memos):
     calls = []
     real = cyclotomic._psi_step
     monkeypatch.setattr(
         cyclotomic, "_psi_step", lambda phi_, psi_, p: calls.append(p) or real(phi_, psi_, p)
     )
-    cyclotomic._phi_default.cache_clear()
-    f = phi(1155)
+    f = phi(1155, PhiAlgorithm.SparseSeries)
     assert calls == [5, 7]  # the step to 1155 (p = 11) builds no psi
     assert phi(1155, PhiAlgorithm.SparseSeries) == f
     assert calls == [5, 7]  # the prefix 105 comes from the memo
@@ -353,15 +353,17 @@ def _cold(f, n):
     return f(n)
 
 
-def test_cold_and_warm_memo_agree(cold_sparse_memo):
+def test_cold_and_warm_memo_agree(cold_memos):
     # orders 4-6, each with and without a factor 2, except that psi stops
     # at order 5: psi(255255) alone takes seconds, and 510510 longer still
     small = [*range(1, 800), 1155, 2310, 15015, 30030]
     big = [255255]
-    cold = {n: (_cold(phi, n), _cold(phi_head, n)) for n in small + big}
+    cold = {n: _cold(phi, n) for n in small + big}
     cold_psi = {n: _cold(psi, n) for n in small}
     cyclotomic._phi_default.cache_clear()
     for n in small + big:
-        assert (phi(n), phi_head(n)) == cold[n], n
+        assert phi(n) == cold[n], n
         if n in cold_psi:
+            # the explicit sparse series, rebuilt on the prefixes psi left
+            assert phi(n, PhiAlgorithm.SparseSeries) == cold[n], n
             assert psi(n) == cold_psi[n], n

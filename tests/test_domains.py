@@ -8,7 +8,7 @@ import pytest
 
 from cycloforge import _numtheory, domains, flatness
 from cycloforge._numtheory import factorize, is_prime
-from cycloforge.cyclotomic import phi
+from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_product
 from cycloforge.domains import (
     chain4,
     coprime_tuples,
@@ -18,7 +18,6 @@ from cycloforge.domains import (
 )
 from cycloforge.flatness import SCAN_TAGS, HeightCache, scan
 from cycloforge.intpoly import poly_height
-from cycloforge.pseudocyclo import pseudo_phi
 
 CHAIN4_TO_2E7 = [
     (3, 7, 41, 1721), (3, 7, 41, 1723), (3, 7, 41, 5167), (3, 7, 41, 8609),
@@ -187,10 +186,10 @@ def test_every_tag_scans_the_same_in_one_window_and_many(tag):
     assert many.heights == one.heights
     assert one.heights and all(len(set(fs)) == len(fs) for fs in one.heights)
     # the records hold the heights of the tag's polynomials, checked here
-    # by full expansion
+    # by full expansion through the list kernels
     pseudo = tag.startswith("pseudo")
     for fs in list(one.heights)[:40]:
-        f = pseudo_phi(list(fs)) if pseudo else phi(prod(fs))
+        f = signed_subset_product(fs) if pseudo else phi(prod(fs), PhiAlgorithm.SparseSeries)
         assert one.heights[fs]["height"] == poly_height(f), (tag, fs)
 
 

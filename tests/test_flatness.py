@@ -13,7 +13,7 @@ import pytest
 
 from cycloforge import flatness
 from cycloforge._numtheory import factorize, primes_up_to
-from cycloforge.cyclotomic import phi
+from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_product
 from cycloforge.domains import chain4, coprime_tuples, prime_tuples
 from cycloforge.errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from cycloforge.flatness import (
@@ -27,7 +27,6 @@ from cycloforge.flatness import (
     scan,
 )
 from cycloforge.intpoly import coeff_set, poly_height, substitute_neg
-from cycloforge.pseudocyclo import pseudo_phi
 
 # (n, A(n), A(3n)) rows that the p=3 height-drop scan must reproduce
 DROP_ROWS_BELOW_20000 = [
@@ -92,7 +91,7 @@ def test_bigtop_route_matches_expansion_grid():
         for p in ps:
             if p <= n or n * p > 10000:
                 continue
-            f = phi(n * p)
+            f = phi(n * p, PhiAlgorithm.SparseSeries)
             assert height_of(rest + (p,)) == poly_height(f), (n, p)
             assert coefficient_set_of(rest + (p,)) == coeff_set(f), (n, p)
             checked += 1
@@ -113,7 +112,8 @@ def test_bigtop_route_edge_cases(monkeypatch):
         ((5, 3, 7, 1061), set(range(-3, 4))),  # unsorted factors
     ]
     for factors, want in cases:
-        assert coefficient_set_of(factors) == want == coeff_set(phi(prod(factors)))
+        f = phi(prod(factors), PhiAlgorithm.SparseSeries)
+        assert coefficient_set_of(factors) == want == coeff_set(f)
         assert height_of(factors) == max(map(abs, want))
     assert calls == [(15, 151), (15, 151), (15, 461), (15, 461), (3, 101), (3, 101),
                      (1, 101), (1, 101), (105, 1061), (105, 1061)]
@@ -162,7 +162,7 @@ def test_even_coefficient_set_from_head():
         if any(e > 1 for _, e in fac):
             continue
         rest = tuple(q for q, _ in fac)
-        want = coeff_set(substitute_neg(phi(m)))
+        want = coeff_set(substitute_neg(phi(m, PhiAlgorithm.SparseSeries)))
         assert coefficient_set_of(rest + (2,)) == want, m
         assert coefficient_set_of(rest, multiplier=2) == want, m
         checked += 1
@@ -170,8 +170,11 @@ def test_even_coefficient_set_from_head():
 
 
 def _full_record(factors, pseudo):
-    # the scan record as full expansion wrote it
-    f = pseudo_phi(list(factors)) if pseudo else phi(prod(factors))
+    # the scan record as full expansion by the list kernels wrote it
+    if pseudo:
+        f = signed_subset_product(tuple(factors))
+    else:
+        f = phi(prod(factors), PhiAlgorithm.SparseSeries)
     return {
         "n": prod(factors),
         "factors": list(factors),

@@ -19,8 +19,6 @@ from cycloforge.intpoly import (
     coeff_set,
     extract_residue,
     field_width,
-    from_json_coeffs,
-    from_text,
     geometric_series,
     is_reciprocal,
     monomial,
@@ -273,15 +271,12 @@ def test_evaluate():
 def test_text_roundtrip():
     assert to_text(poly([1, -1, 1])) == "1 -1 1"
     assert to_text(ZERO) == "0"
-    assert from_text("1 -1 1") == poly([1, -1, 1])
-    assert from_text("0") == ZERO
 
 
 def test_json_coeffs():
     big = 2**80
     encoded = to_json_coeffs(poly([1, big]))
     assert encoded == [1, str(big)]
-    assert from_json_coeffs(encoded) == poly([1, big])
 
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9), max_size=12).map(poly)

@@ -1,6 +1,6 @@
 """The packed head kernel (one Python int per head, Kronecker substitution)
-against full expansions, and the field widths it takes from proved height
-bounds."""
+against full expansions by the list kernels, and the field widths it takes
+from proved height bounds."""
 
 from itertools import permutations
 from math import prod
@@ -8,11 +8,10 @@ from math import prod
 import pytest
 
 from cycloforge import cyclotomic, intpoly
-from cycloforge.cyclotomic import phi, signed_subset_head
+from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
 from cycloforge.domains import coprime_tuples, prime_tuples
 from cycloforge.flatness import coefficient_set_of, height_of
 from cycloforge.intpoly import coeff_set, poly_height
-from cycloforge.pseudocyclo import pseudo_phi
 
 # 40755 = 3*5*11*13*19 has height 359, beyond a signed byte
 WIDE = (3, 5, 11, 13, 19)
@@ -36,12 +35,16 @@ def _width(parts, primes):
     return bound, intpoly.field_width(bound)
 
 
+def _sparse(n):
+    return phi(n, PhiAlgorithm.SparseSeries)
+
+
 @pytest.fixture(scope="module")
 def full():
     # height and coefficient set of every grid polynomial, expanded in full
     out = {}
     for fs in GRID:
-        f = phi(prod(fs))
+        f = _sparse(prod(fs))
         out[fs] = poly_height(f), coeff_set(f)
     return out
 
@@ -58,19 +61,18 @@ def test_even_and_square_parts_match_full_phi():
     # a repeated prime substitutes x^p, which keeps height and set
     for fs in GRID[:: len(GRID) // 150]:
         n = prod(fs)
-        assert coefficient_set_of(fs + (2,)) == coeff_set(phi(2 * n)), fs
-        assert coefficient_set_of(fs, multiplier=4) == coeff_set(phi(4 * n)), fs
-        assert height_of(fs, multiplier=fs[0]) == poly_height(phi(fs[0] * n)), fs
-        assert coefficient_set_of(fs, multiplier=fs[0] * 2) == coeff_set(phi(2 * fs[0] * n)), fs
+        assert coefficient_set_of(fs + (2,)) == coeff_set(_sparse(2 * n)), fs
+        assert coefficient_set_of(fs, multiplier=4) == coeff_set(_sparse(4 * n)), fs
+        assert height_of(fs, multiplier=fs[0]) == poly_height(_sparse(fs[0] * n)), fs
+        assert coefficient_set_of(fs, multiplier=fs[0] * 2) == coeff_set(_sparse(2 * fs[0] * n)), fs
     for n in (2 * 105, 4 * 1155, 2 * 9 * 385, 25 * 3003):
-        f = phi(n)
-        assert cyclotomic.phi_head(n).coeffs == f.coeffs[: f.degree // 2 + 1], n
+        assert phi(n) == _sparse(n), n
 
 
 def test_packed_pseudo_heads_match_full_expansion():
     tuples = [parts for _, parts in coprime_tuples(3, 1, 4000)] + [(3, 4, 275), (2, 9, 25, 7)]
     for parts in tuples:
-        f = pseudo_phi(parts)
+        f = signed_subset_product(parts)
         head = signed_subset_head(parts)
         assert (head.height, {0, *head.coeffs}) == (poly_height(f), coeff_set(f)), parts
     assert any(2 in parts for parts in tuples)
@@ -92,7 +94,7 @@ def test_widths_come_from_the_parts_and_cover_the_height(full):
     assert seen[WIDE] == 16
     for _, parts in coprime_tuples(3, 1, 2000):
         bound, b = _width(parts, False)
-        assert poly_height(pseudo_phi(parts)) <= bound < 1 << (b - 1), parts
+        assert poly_height(signed_subset_product(parts)) <= bound < 1 << (b - 1), parts
 
 
 def test_field_width_steps():
@@ -104,7 +106,7 @@ def test_field_width_steps():
 def test_wider_than_64_bits_decodes(monkeypatch):
     # four coprime parts take the generic bound past 64 bits; a forced
     # wider field must not change any head either
-    f = pseudo_phi((8, 9, 25, 7))
+    f = signed_subset_product((8, 9, 25, 7))
     assert _width((8, 9, 25, 7), False)[1] > 64
     assert signed_subset_head((8, 9, 25, 7)).height == poly_height(f)
     monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 192)

@@ -41,6 +41,7 @@ def test_parts_validation():
 
 def test_pseudo_phi_golden():
     assert pseudo_phi([7]) == poly([1] * 7)
+    assert pseudo_phi([2]) == poly([1, 1])  # degree 1: the head is the middle
     assert pseudo_phi([4, 1]) == poly([1])
     assert pseudo_phi([2, 9]) == poly_mul(phi(6), phi(18))
     # direct binomial-quotient oracle for the same value
