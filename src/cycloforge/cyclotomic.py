@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, gcd, prod
-from operator import add
+from operator import add, neg
 from typing import NamedTuple, Sequence
 
 from . import _numtheory as nt
@@ -272,6 +272,25 @@ def head_and_mirror(parts: tuple[int, ...], primes: bool = False) -> IntPolynomi
     c = signed_subset_head(parts, primes).coeffs
     deg = prod(p - 1 for p in parts)
     return IntPolynomial(tuple(c + c[deg - len(c) :: -1]))
+
+
+@lru_cache(maxsize=512)
+def coefficient_set(n: int) -> frozenset[int]:
+    """The coefficient set of phi(n), 0 included, read off the packed head
+    of the odd primes of n's radical. phi(n) spreads the radical's
+    coefficients apart with zeros, and with an odd prime the degree is
+    even, so exponents i and deg - i share parity as well as coefficient.
+    An even n negates the odd exponents, since phi(2m)(x) = phi(m)(-x)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    odd = tuple(p for p, _ in nt.factorize(n) if p != 2)
+    even = n % 2 == 0
+    if not odd:
+        return frozenset((0, 1) if even else (-1, 0, 1))
+    c = signed_subset_head(odd, primes=True).coeffs
+    if even:
+        return frozenset((0, *c[::2], *map(neg, c[1::2])))
+    return frozenset((0, *c))
 
 
 # ---------------------------------------------------------------------------

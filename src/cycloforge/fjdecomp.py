@@ -19,7 +19,7 @@ from typing import Iterator
 
 from ._numtheory import factorize, is_prime, totient
 from .binary_structure import mod_phi_reduce
-from .cyclotomic import phi, psi
+from .cyclotomic import coefficient_set, phi, psi
 from .errors import (
     HypothesisViolated,
     IntegralityFailure,
@@ -30,7 +30,6 @@ from .errors import (
 from .intpoly import (
     ZERO,
     IntPolynomial,
-    coeff_set,
     extract_residue,
     poly_exact_div,
     poly_mul,
@@ -132,13 +131,6 @@ def fj_extended(family: FjFamily, j: int) -> tuple[int, IntPolynomial]:
         return 0, ZERO
     low = next(i for i, c in enumerate(member) if c)
     return low - j // family.p, IntPolynomial(member[low:])
-
-
-def gj_family(split: BezoutSplit) -> list[IntPolynomial]:
-    """Residue-class members of a*g; congruent to the direct members
-    modulo phi(n)."""
-    ag = poly_mul(split.a, split.g())
-    return [extract_residue(ag, split.p, j) for j in range(split.p)]
 
 
 def _as_prime_parts(n_or_parts) -> tuple[int, ...]:
@@ -253,6 +245,11 @@ class PeriodicityComparison:
 
 
 def periodicity_compare(n: int, s: int, t: int) -> PeriodicityComparison:
+    """Compare the coefficient sets of phi(n*s) and phi(n*t) for primes
+    s = +/-t (mod n). Each set is read off the packed head of its own
+    index (cyclotomic.coefficient_set), never off the reduced shift
+    family: that family depends on s only through s mod n, so a check of
+    the periodicity theorem built on it would pass by construction."""
     if n < 2 or s == t or not (is_prime(s) and is_prime(t)):
         raise HypothesisViolated("need distinct primes s, t and n >= 2")
     if gcd(n, s) != 1 or gcd(n, t) != 1:
@@ -262,8 +259,8 @@ def periodicity_compare(n: int, s: int, t: int) -> PeriodicityComparison:
     if not (unsigned or signed):
         raise HypothesisViolated(f"{s} is not congruent to +/-{t} mod {n}")
 
-    vs = frozenset(coeff_set(phi(n * s)))
-    vt = frozenset(coeff_set(phi(n * t)))
+    vs = coefficient_set(n * s)
+    vt = coefficient_set(n * t)
     neg_vt = frozenset(-c for c in vt)
     both = vt | neg_vt
 

@@ -16,11 +16,16 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import prod
-from operator import neg
 from typing import Callable, Iterator, NamedTuple
 
 from ._numtheory import is_prime
-from .cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
+from .cyclotomic import (
+    PhiAlgorithm,
+    coefficient_set,
+    phi,
+    signed_subset_head,
+    signed_subset_product,
+)
 from .domains import chain4, coprime_tuples, odd_primes, odd_squarefree3, prime_tuples
 from .errors import NotSortedDistinctOddPrimes, UnknownConjecture
 from .fjdecomp import fstar_shifts
@@ -87,27 +92,22 @@ def height_of(factors, multiplier: int = 1) -> int:
     return signed_subset_head(odd, primes=True).height
 
 
-def coefficient_set_of(factors, multiplier: int = 1) -> set[int]:
+def coefficient_set_of(factors, multiplier: int = 1) -> frozenset[int]:
     """Exact coefficient set (always includes 0). A factor of 2 flips the
     signs at odd exponents, which can change the set, so it is honored.
-    The lower half of phi suffices: the degree is even, so exponents i and
-    deg - i have the same parity and the same coefficient."""
+    An odd top prime beyond the product of the others is read off the
+    reduced shift family when that is cheaper than the expansion, and
+    otherwise the packed head suffices (cyclotomic.coefficient_set)."""
     odd = _odd_part_factors(factors)
     _check_multiplier(multiplier, factors)
     even = 2 in tuple(factors) or multiplier % 2 == 0
-    if not odd:
-        return {0, 1} if even else {-1, 0, 1}
-    if even:
-        # phi(2m)(x) = phi(m)(-x)
-        c = signed_subset_head(odd, primes=True).coeffs
-        return {0, *c[::2], *map(neg, c[1::2])}
-    family = _shift_family(odd)
-    if family is not None:
-        out = {0}
-        for f in family:
-            out.update(f.coeffs)
-        return out
-    return {0, *signed_subset_head(odd, primes=True).coeffs}
+    family = None if even else _shift_family(odd)
+    if family is None:
+        return coefficient_set(prod(odd) * (2 if even else 1))
+    out = {0}
+    for f in family:
+        out.update(f.coeffs)
+    return frozenset(out)
 
 
 class VerdictStatus(Enum):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import sub
 
 from ._numtheory import primes_up_to, totient
 from .binary_structure import mod_phi_reduce, staircase_multiple
@@ -48,6 +49,7 @@ from .intpoly import (
     poly,
     poly_add,
     poly_height,
+    poly_mod_monic,
     poly_mul,
     poly_mul_scalar,
     poly_sub,
@@ -186,6 +188,17 @@ def check_fj_invariants(fam: FjFamily, split: BezoutSplit, ag: IntPolynomial) ->
         raise ValueError("identity f = a*g + b*h fails")
 
 
+def _member_differences(fam: FjFamily, ag: IntPolynomial) -> IntPolynomial:
+    # sum_j x^j (member_j - slice_j(ag))(x^p): the members back at their
+    # exponents, minus ag
+    p = fam.p
+    d = [0] * max(len(ag.coeffs), p * max(len(m.coeffs) for m in fam.members))
+    for j, m in enumerate(fam.members):
+        d[j : j + p * len(m.coeffs) : p] = m.coeffs
+    d[: len(ag.coeffs)] = map(sub, d, ag.coeffs)
+    return IntPolynomial(tuple(d))
+
+
 def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]:
     fails: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
     for n, p in pairs:
@@ -197,11 +210,16 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         except Exception as exc:
             fails["family-invariants"].append((n, p, str(exc)))
             continue
-        base = phi(n)
-        for j, fjp in enumerate(fam.members):
-            if mod_phi_reduce(poly_sub(fjp, extract_residue(ag, p, j)), n) != ZERO:
-                fails["f-equals-g"].append((n, p, j))
-                break
+        # Each member_j - slice_j(ag) vanishes mod phi(n) exactly when
+        # h = phi(n)(x^p) divides D = sum_j x^j (member_j - slice_j(ag))(x^p):
+        # multiplying by h keeps the residue classes mod p apart, since
+        # h * sum_j x^j q_j(x^p) = sum_j x^j (phi(n) q_j)(x^p). So one
+        # division per pair, and the member loop only names a failing j.
+        if poly_mod_monic(_member_differences(fam, ag), split.h()) != ZERO:
+            for j, fjp in enumerate(fam.members):
+                if mod_phi_reduce(poly_sub(fjp, extract_residue(ag, p, j)), n) != ZERO:
+                    fails["f-equals-g"].append((n, p, j))
+                    break
         if p > n:
             if any(fam.members[j] != fam.members[j + n] for j in range(p - n)):
                 fails["exact-periodicity"].append((n, p))
@@ -209,6 +227,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
             stars = fstar_family(n, p)
             if stars[0] != fam.members[0]:
                 fails["f0-fast"].append((n, p))
+            base = phi(n)
             for j in range(n):
                 want = poly_add(
                     poly_mul(monomial(1), stars[(j - 1) % n]),

@@ -15,6 +15,7 @@ from cycloforge._numtheory import factorize, mobius, radical, totient
 from cycloforge.cyclotomic import (
     GCD_ALG_LIMIT,
     PhiAlgorithm,
+    coefficient_set,
     phi,
     poly_gcd_int,
     psi,
@@ -25,6 +26,7 @@ from cycloforge.cyclotomic import (
 from cycloforge.domains import coprime_tuples
 from cycloforge.errors import RemainderNonzero
 from cycloforge.intpoly import (
+    coeff_set,
     is_reciprocal,
     long_divide,
     monomial,
@@ -222,12 +224,13 @@ def test_default_matches_mobius(n):
 
 @pytest.fixture
 def cold_memos():
-    # the default-phi and sparse-chain memos start empty, and a test that
-    # breaks a kernel leaves no wrong entry in them for the tests after
-    for memo in (cyclotomic._phi_default, cyclotomic._sparse_pair):
+    # the default-phi, sparse-chain and coefficient-set memos start empty,
+    # and a test that breaks a kernel leaves no wrong entry in them for the tests after
+    memos = (cyclotomic._phi_default, cyclotomic._sparse_pair, cyclotomic.coefficient_set)
+    for memo in memos:
         memo.cache_clear()
     yield
-    for memo in (cyclotomic._phi_default, cyclotomic._sparse_pair):
+    for memo in memos:
         memo.cache_clear()
 
 
@@ -240,6 +243,16 @@ def test_phi_head_matches_full_expansion(cold_memos):
         f = phi(n)
         assert f == phi(n, PhiAlgorithm.SparseSeries), n
         assert f == phi(n, PhiAlgorithm.MobiusProduct), n
+
+
+def test_coefficient_set_matches_full_expansion(cold_memos):
+    # the set read off the packed head against the sparse series, for every
+    # m <= 1000: even m, square parts, phi(1) and phi(2) included
+    for m in range(1, 1001):
+        assert coefficient_set(m) == coeff_set(phi(m, PhiAlgorithm.SparseSeries)), m
+    assert coefficient_set(1) == {-1, 0, 1} and coefficient_set(4) == {0, 1}
+    with pytest.raises(ValueError):
+        coefficient_set(0)
 
 
 def _coprime(parts):

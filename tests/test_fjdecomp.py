@@ -4,8 +4,9 @@ from math import gcd, prod
 
 import pytest
 
+from cycloforge import cyclotomic, fjdecomp, flatness
 from cycloforge.binary_structure import mod_phi_reduce
-from cycloforge.cyclotomic import phi
+from cycloforge.cyclotomic import PhiAlgorithm, phi
 from cycloforge.errors import (
     HypothesisViolated,
     NotCoprimeIndex,
@@ -21,7 +22,6 @@ from cycloforge.fjdecomp import (
     fj_extended,
     fj_family,
     fstar_family,
-    gj_family,
     periodicity_compare,
     reciprocity_partner,
 )
@@ -47,6 +47,13 @@ def lifted(e: tuple, p: int, j: int) -> tuple:
     # x^j * e(x^p) for a canonical e, kept canonical
     off, body = e
     return off * p + j if body else 0, substitute_power(body, p)
+
+
+def gj_family(split: BezoutSplit) -> list[IntPolynomial]:
+    # residue-class members of a*g; congruent to the direct members
+    # modulo phi(n)
+    ag = poly_mul(split.a, split.g())
+    return [extract_residue(ag, split.p, j) for j in range(split.p)]
 
 
 def fold_xn(e: tuple, n: int) -> tuple:
@@ -363,3 +370,19 @@ def test_family_json():
     d = fj_family(15, 2).to_json()
     assert d["n"] == 15 and d["p"] == 2
     assert d["members"] == [[1, 0, -1, 0, 1], [1, -1, -1, 1]]
+
+
+def test_periodicity_sets_do_not_come_from_the_shift_family(monkeypatch):
+    # The shift family of 263 and 293 over 15 is the same (both are 8 mod
+    # 15), so a comparison read off it would hold by construction; each set
+    # must come from its own polynomial.
+    def refuse(*args):
+        raise AssertionError("periodicity read the shift family")
+
+    monkeypatch.setattr(fjdecomp, "f0_fast", refuse)
+    monkeypatch.setattr(fjdecomp, "fstar_shifts", refuse)
+    monkeypatch.setattr(flatness, "fstar_shifts", refuse)
+    cyclotomic.coefficient_set.cache_clear()
+    r = periodicity_compare(15, 263, 293)
+    assert r.observed == r.predicted == PeriodicityRelation.Equal
+    assert r.vset_s == coeff_set(phi(15 * 263, PhiAlgorithm.SparseSeries))

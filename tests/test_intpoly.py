@@ -77,8 +77,9 @@ def _convolve(xs, ys):
     out = [0] * max(0, len(xs) + len(ys) - 1)
     ys_nonzero = [(j, v) for j, v in enumerate(ys) if v]
     for i, c in enumerate(xs):
-        for j, v in ys_nonzero:
-            out[i + j] += c * v
+        if c:
+            for j, v in ys_nonzero:
+                out[i + j] += c * v
     return poly(out)
 
 

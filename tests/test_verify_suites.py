@@ -1,6 +1,7 @@
 import pytest
 
 from cycloforge import verify_suites
+from cycloforge.cyclotomic import phi
 from cycloforge.errors import UnknownSuite
 from cycloforge.fjdecomp import BezoutSplit, FjFamily
 from cycloforge.intpoly import monomial, poly, poly_add
@@ -122,3 +123,25 @@ def test_fj_suite_catches_forgeries(monkeypatch, name):
     assert first.info.startswith("1 counterexamples, first: (5, 3, ")
     assert message in first.info
     assert all(r.ok for r in rest)
+
+
+@pytest.mark.parametrize("j, off_by_phi", [(2, False), (0, False), (6, False), (2, True)])
+def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, off_by_phi):
+    # One division checks every member of a pair at once; a member that
+    # breaks its congruence is still named, and one changed by a multiple
+    # of phi(n) still passes. The forged families skip the invariant check,
+    # which would flag them as not reassembling the polynomial first.
+    real = verify_suites.fj_family
+
+    def forged(n, p):
+        fam = real(n, p)
+        extra = phi(n) if off_by_phi else monomial(0)
+        return _forge_members(fam, j, poly_add(fam.members[j], extra).coeffs)
+
+    monkeypatch.setattr(verify_suites, "fj_family", forged)
+    monkeypatch.setattr(verify_suites, "check_fj_invariants", lambda *args: None)
+    checked, fails = verify_suites._fj_check_chunk([(15, 7), (5, 17)])
+    assert checked == 2
+    assert fails["family-invariants"] == []
+    want = [] if off_by_phi else [(15, 7, j), (5, 17, j)]
+    assert fails["f-equals-g"] == want
