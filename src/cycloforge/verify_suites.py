@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import sub
 
 from ._numtheory import primes_up_to, totient
-from .binary_structure import mod_phi_reduce, staircase_multiple
+from .binary_structure import staircase_multiple
 from .cyclotomic import (
     PhiAlgorithm,
     phi,
@@ -43,7 +42,6 @@ from .intpoly import (
     ZERO,
     IntPolynomial,
     coeff_set,
-    extract_residue,
     geometric_series,
     monomial,
     poly,
@@ -155,11 +153,14 @@ FJ_PROPERTIES = (
 )
 
 
-def check_fj_invariants(fam: FjFamily, split: BezoutSplit, ag: IntPolynomial) -> None:
+def check_fj_invariants(
+    fam: FjFamily, split: BezoutSplit, ag: IntPolynomial
+) -> IntPolynomial:
     """Raise ValueError unless every member keeps its degree budget,
     member 0 has constant term 1, the members reassemble phi(np), and the
-    split keeps its degree bounds and satisfies f = a*g + b*h. ag is a*g,
-    which the caller also slices for the f-equals-g property."""
+    split keeps its degree bounds and satisfies f = a*g + b*h. ag is a*g.
+    Return phi(np), which the members were just shown to reassemble; the
+    caller reduces it against ag for the f-equals-g property."""
     n, p = fam.n, fam.p
     tot = totient(n)
     for j, m in enumerate(fam.members):
@@ -186,17 +187,7 @@ def check_fj_invariants(fam: FjFamily, split: BezoutSplit, ag: IntPolynomial) ->
         raise ValueError("b breaks its degree bound")
     if poly_add(ag, poly_mul(split.b, split.h())) != f:
         raise ValueError("identity f = a*g + b*h fails")
-
-
-def _member_differences(fam: FjFamily, ag: IntPolynomial) -> IntPolynomial:
-    # sum_j x^j (member_j - slice_j(ag))(x^p): the members back at their
-    # exponents, minus ag
-    p = fam.p
-    d = [0] * max(len(ag.coeffs), p * max(len(m.coeffs) for m in fam.members))
-    for j, m in enumerate(fam.members):
-        d[j : j + p * len(m.coeffs) : p] = m.coeffs
-    d[: len(ag.coeffs)] = map(sub, d, ag.coeffs)
-    return IntPolynomial(tuple(d))
+    return f
 
 
 def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]:
@@ -206,20 +197,22 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
             fam = fj_family(n, p)
             split = bezout_split(n, p)
             ag = poly_mul(split.a, split.g())
-            check_fj_invariants(fam, split, ag)
+            rebuilt = check_fj_invariants(fam, split, ag)
         except Exception as exc:
             fails["family-invariants"].append((n, p, str(exc)))
             continue
-        # Each member_j - slice_j(ag) vanishes mod phi(n) exactly when
-        # h = phi(n)(x^p) divides D = sum_j x^j (member_j - slice_j(ag))(x^p):
-        # multiplying by h keeps the residue classes mod p apart, since
-        # h * sum_j x^j q_j(x^p) = sum_j x^j (phi(n) q_j)(x^p). So one
-        # division per pair, and the member loop only names a failing j.
-        if poly_mod_monic(_member_differences(fam, ag), split.h()) != ZERO:
-            for j, fjp in enumerate(fam.members):
-                if mod_phi_reduce(poly_sub(fjp, extract_residue(ag, p, j)), n) != ZERO:
-                    fails["f-equals-g"].append((n, p, j))
-                    break
+        # Write D = rebuilt - ag = sum_j x^j q_j(x^p) with
+        # q_j = member_j - slice_j(ag), and q_j = s_j phi(n) + r_j. Then
+        # D = h * sum_j x^j s_j(x^p) + sum_j x^j r_j(x^p), h = phi(n)(x^p),
+        # and x^j r_j(x^p) has degree at most p*phi(n) - 1 < deg h, so
+        # D mod h = sum_j x^j r_j(x^p): its nonzero coefficients at
+        # exponents i = j (mod p) are exactly the members that break
+        # member_j = slice_j(ag) mod phi(n). (Once the invariants hold,
+        # D = b*h, so only a family forged past them fails here.)
+        r = poly_mod_monic(poly_sub(rebuilt, ag), split.h())
+        if r != ZERO:
+            j = min(i % p for i, c in enumerate(r.coeffs) if c)
+            fails["f-equals-g"].append((n, p, j))
         if p > n:
             if any(fam.members[j] != fam.members[j + n] for j in range(p - n)):
                 fails["exact-periodicity"].append((n, p))

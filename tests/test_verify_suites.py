@@ -130,7 +130,8 @@ def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, 
     # One division checks every member of a pair at once; a member that
     # breaks its congruence is still named, and one changed by a multiple
     # of phi(n) still passes. The forged families skip the invariant check,
-    # which would flag them as not reassembling the polynomial first.
+    # which would flag them as not reassembling the polynomial first; its
+    # stand-in returns the forged members reassembled.
     real = verify_suites.fj_family
 
     def forged(n, p):
@@ -138,8 +139,15 @@ def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, 
         extra = phi(n) if off_by_phi else monomial(0)
         return _forge_members(fam, j, poly_add(fam.members[j], extra).coeffs)
 
+    def reassembled(fam, split, ag):
+        p = fam.p
+        out = [0] * (p * max(len(m.coeffs) for m in fam.members))
+        for k, m in enumerate(fam.members):
+            out[k : k + p * len(m.coeffs) : p] = m.coeffs
+        return poly(out)
+
     monkeypatch.setattr(verify_suites, "fj_family", forged)
-    monkeypatch.setattr(verify_suites, "check_fj_invariants", lambda *args: None)
+    monkeypatch.setattr(verify_suites, "check_fj_invariants", reassembled)
     checked, fails = verify_suites._fj_check_chunk([(15, 7), (5, 17)])
     assert checked == 2
     assert fails["family-invariants"] == []
