@@ -1,4 +1,4 @@
-"""Small number-theory helpers: factorization, totient, Mobius, primality.
+"""Small number-theory helpers: factorization, totient, primality.
 
 Everything here works on Python ints (arbitrary precision). Primality is
 deterministic for inputs below 3.3 * 10^24 via fixed Miller-Rabin bases.
@@ -86,16 +86,6 @@ def totient(n: int) -> int:
     for p, _ in factorize(n):
         t -= t // p
     return t
-
-
-def mobius(n: int) -> int:
-    """Mobius function: 0 on non-squarefree, else (-1)^(number of primes)."""
-    mu = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
 
 
 def divisors(n: int) -> list[int]:

@@ -1,7 +1,6 @@
 """Two-part structure: staircase corners and the explicit grid-block
 products they assemble (level 1 gives the two-part polynomial itself),
-prefix truncations, reduction modulo one cyclotomic, and the
-binomial-multiplier flatness probe.
+and reduction modulo one cyclotomic.
 
 The central picture is a p-by-q grid holding the residues of a*p + b*q
 modulo pq. One vertical and one horizontal cut, placed by the modular
@@ -16,14 +15,12 @@ from math import gcd
 
 from ._numtheory import modinv
 from .cyclotomic import phi
-from .errors import BadExponents, LOutOfRange, NotCoprime
+from .errors import LOutOfRange, NotCoprime
 from .intpoly import (
     IntPolynomial,
     geometric_series,
     monomial,
     poly,
-    poly_add,
-    poly_height,
     poly_mod_monic,
     poly_mul,
     poly_sub,
@@ -107,13 +104,6 @@ def ldiagram_json(p: int, q: int) -> dict:
     return {"rows": p, "cols": q, "residues": residues, "mu": c.mu, "lambda": c.lam}
 
 
-def prefix_truncation(f: IntPolynomial, b: int) -> IntPolynomial:
-    """Drop every term of degree above b."""
-    if b < 0:
-        raise ValueError("truncation bound must be nonnegative")
-    return IntPolynomial(f.coeffs[: b + 1])
-
-
 def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
     """Unique representative of degree < deg phi(n) congruent to t. Since
     x^n = 1 holds modulo phi(n), exponents fold mod n first, then one
@@ -126,19 +116,3 @@ def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
         coeffs = [sum(coeffs[r::n]) for r in range(n)]
     return poly_mod_monic(poly(coeffs), phi(n))
 
-
-def forbidden_binomial(
-    p: int, q: int, a: int, b: int, sign: int
-) -> tuple[bool, int | None]:
-    """Is (x^a + sign*x^b) * phi a multiplier that breaks flatness? The
-    witness is the smallest exponent carrying a coefficient of size >= 2."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if a < 0 or b < 0 or a >= b:
-        raise BadExponents(f"need 0 <= a < b, got a={a}, b={b}")
-    binom = poly_add(monomial(a), monomial(b, sign))
-    product = poly_mul(binom, staircase_multiple(p, q, 1))
-    if poly_height(product) <= 1:
-        return (False, None)
-    witness = next(i for i, c in enumerate(product.coeffs) if abs(c) >= 2)
-    return (True, witness)

@@ -29,10 +29,6 @@ class LOutOfRange(CycloforgeError):
     """Staircase length l outside [1, p+q-1]."""
 
 
-class BadExponents(CycloforgeError):
-    """Binomial exponents must satisfy a < b."""
-
-
 class NotCoprimeIndex(CycloforgeError):
     """The prime p divides n, so the (n, p) decomposition is undefined."""
 

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from ._numtheory import factorize, is_prime, totient
 from .binary_structure import mod_phi_reduce
-from .cyclotomic import coefficient_set, phi, psi
+from .cyclotomic import coefficient_set, phi
 from .errors import (
     HypothesisViolated,
     IntegralityFailure,
@@ -53,13 +53,6 @@ class FjFamily:
         object.__setattr__(self, "members", tuple(self.members))
         if len(self.members) != self.p:
             raise ValueError("need exactly p members")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "members": [list(m.coeffs) for m in self.members],
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,24 +126,13 @@ def fj_extended(family: FjFamily, j: int) -> tuple[int, IntPolynomial]:
     return low - j // family.p, IntPolynomial(member[low:])
 
 
-def _as_prime_parts(n_or_parts) -> tuple[int, ...]:
-    if isinstance(n_or_parts, int):
-        fac = factorize(n_or_parts)
-        if any(e > 1 for _, e in fac):
-            raise ValueError(f"{n_or_parts} is not squarefree")
-        return tuple(p for p, _ in fac)
-    parts = tuple(n_or_parts)
+def f0_fast(parts: tuple[int, ...], p: int) -> IntPolynomial:
+    """Member 0 without building the full polynomial of n*p, where n is
+    the product of the distinct primes in parts: with w = p mod n, extract
+    residue class 0 with step w from the inclusion-exclusion polynomial of
+    the parts plus w. Only valid for p beyond n."""
     if len(set(parts)) != len(parts) or not all(is_prime(q) for q in parts):
         raise ValueError("parts must be distinct primes")
-    return parts
-
-
-def f0_fast(n_or_parts, p: int) -> IntPolynomial:
-    """Member 0 without building the full polynomial of n*p: with
-    w = p mod n, extract residue class 0 with step w from the
-    inclusion-exclusion polynomial of the parts plus w. Only valid for
-    p beyond n."""
-    parts = _as_prime_parts(n_or_parts)
     n = prod(parts)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -201,25 +183,6 @@ def _shifts(f0: IntPolynomial, base: tuple[int, ...], n: int) -> Iterator[IntPol
         if lead:
             cur = [c - lead * b for c, b in zip(cur, base)]
         yield IntPolynomial(tuple(cur))
-
-
-def fj_constant_terms(n: int) -> list[int]:
-    """Constant terms of the first n members for any prime beyond n;
-    these are the negated low coefficients of the cofactor of phi(n)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    q = psi(n)
-    return [-q.coeff(j) for j in range(n)]
-
-
-def reciprocity_partner(n: int, p: int, j: int) -> int:
-    """Index whose member shares the coefficient set with member j."""
-    if n % p == 0:
-        raise NotCoprimeIndex(f"{p} divides {n}")
-    if not 0 <= j < p:
-        raise ValueError(f"index {j} outside [0, {p})")
-    z = (-totient(n)) % p
-    return z - j if j <= z else p + z - j
 
 
 class PeriodicityRelation(Enum):

@@ -220,8 +220,8 @@ def long_divide(rem: list[int], bl: Sequence[int]) -> list[int]:
     db = len(bl) - 1
     blead = bl[-1]
     lower = bl[:db]
-    pairs = [(j, v) for j, v in enumerate(lower) if v]
-    dense = db and len(pairs) * 3 >= db
+    dense = db and (db - lower.count(0)) * 3 >= db
+    pairs = () if dense else [(j, v) for j, v in enumerate(lower) if v]
     q = [0] * max(0, len(rem) - db)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + db]
@@ -282,10 +282,6 @@ def coeff_set(a: IntPolynomial) -> set[int]:
     return set(a.coeffs) | {0}
 
 
-def is_reciprocal(a: IntPolynomial) -> bool:
-    return a.coeffs == a.coeffs[::-1]
-
-
 def substitute_power(a: IntPolynomial, k: int) -> IntPolynomial:
     """a(x^k) for k >= 1."""
     if k < 1:
@@ -295,11 +291,6 @@ def substitute_power(a: IntPolynomial, k: int) -> IntPolynomial:
     out = [0] * ((len(a.coeffs) - 1) * k + 1)
     out[::k] = a.coeffs
     return IntPolynomial(tuple(out))
-
-
-def substitute_neg(a: IntPolynomial) -> IntPolynomial:
-    """a(-x)."""
-    return IntPolynomial(tuple(-c if i & 1 else c for i, c in enumerate(a.coeffs)))
 
 
 def extract_residue(a: IntPolynomial, m: int, j: int) -> IntPolynomial:

@@ -37,17 +37,9 @@ class PseudoParts:
             if gcd(a, b) != 1:
                 raise NotCoprime(f"parts {a} and {b} share a common factor")
 
-    @staticmethod
-    def of(*parts: int) -> "PseudoParts":
-        return PseudoParts(tuple(parts))
-
     @property
     def canonical(self) -> tuple[int, ...]:
         return tuple(sorted(self.parts))
-
-    @property
-    def product(self) -> int:
-        return prod(self.parts)
 
 
 PartsLike = Union[PseudoParts, Iterable[int]]

@@ -173,12 +173,11 @@ def check_fj_invariants(
     top = f.degree
     rebuilt = [0] * (top + 1)
     for j, m in enumerate(fam.members):
-        for i, c in enumerate(m.coeffs):
-            k = j + p * i
-            if c and k > top:
-                raise ValueError("members overflow the source polynomial")
-            if k <= top:
-                rebuilt[k] += c
+        # members are trimmed, so one overflows exactly when its last term does
+        if j + p * m.degree > top:
+            raise ValueError("members overflow the source polynomial")
+        # the residue classes mod p are disjoint: each slot is written once
+        rebuilt[j : j + p * len(m.coeffs) : p] = m.coeffs
     if tuple(rebuilt) != f.coeffs:
         raise ValueError("members do not reassemble the source polynomial")
     if split.a and split.a.degree >= tot:

@@ -8,16 +8,14 @@ from hypothesis import given, settings, strategies as st
 from cycloforge._numtheory import primes_up_to
 from cycloforge.binary_structure import (
     StaircaseCorner,
-    forbidden_binomial,
     ldiagram_json,
     ldiagram_render,
     mod_phi_reduce,
-    prefix_truncation,
     staircase_corner,
     staircase_multiple,
 )
 from cycloforge.cyclotomic import phi
-from cycloforge.errors import BadExponents, LOutOfRange, NotCoprime
+from cycloforge.errors import LOutOfRange, NotCoprime
 from cycloforge.intpoly import (
     geometric_series,
     monomial,
@@ -136,15 +134,6 @@ def test_ldiagram_json():
     assert grid["residues"][3][3] == 1  # just above-right of both cuts
 
 
-def test_prefix_truncation():
-    assert prefix_truncation(phi(15), 0) == poly([1])
-    assert prefix_truncation(phi(15), 5) == poly([1, -1, 0, 1, -1, 1])
-    assert prefix_truncation(phi(105), 5) == poly([1, 1, 1, 0, 0, -1])
-    assert prefix_truncation(phi(15), 99) == phi(15)
-    with pytest.raises(ValueError):
-        prefix_truncation(phi(15), -1)
-
-
 def test_mod_phi_reduce_golden():
     assert mod_phi_reduce(monomial(3), 15) == monomial(3)
     assert mod_phi_reduce(monomial(8), 15) == poly([-1, 1, 0, -1, 1, -1, 0, 1])
@@ -180,16 +169,6 @@ def test_mod_phi_reduce_monomials_flat():
         for k in range(0, 2 * n, 7):
             r = mod_phi_reduce(monomial(k), n)
             assert poly_height(r) <= 1, (n, k)
-
-
-def test_forbidden_binomial():
-    assert forbidden_binomial(3, 5, 0, 1, -1) == (True, 1)
-    assert forbidden_binomial(3, 5, 0, 1, +1) == (False, None)
-    assert forbidden_binomial(3, 7, 0, 4, +1) == (True, 8)
-    with pytest.raises(BadExponents):
-        forbidden_binomial(3, 5, 2, 2, 1)
-    with pytest.raises(ValueError):
-        forbidden_binomial(3, 5, 0, 1, 2)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,8 +5,9 @@ from math import gcd, prod
 import pytest
 
 from cycloforge import cyclotomic, fjdecomp, flatness
+from cycloforge._numtheory import totient
 from cycloforge.binary_structure import mod_phi_reduce
-from cycloforge.cyclotomic import PhiAlgorithm, phi
+from cycloforge.cyclotomic import PhiAlgorithm, phi, psi
 from cycloforge.errors import (
     HypothesisViolated,
     NotCoprimeIndex,
@@ -18,12 +19,10 @@ from cycloforge.fjdecomp import (
     PeriodicityRelation,
     bezout_split,
     f0_fast,
-    fj_constant_terms,
     fj_extended,
     fj_family,
     fstar_family,
     periodicity_compare,
-    reciprocity_partner,
 )
 from cycloforge.intpoly import (
     ZERO,
@@ -97,8 +96,6 @@ def test_bezout_5_2():
 
 
 def test_bezout_identity_and_bounds_sampled():
-    from cycloforge._numtheory import totient
-
     cases = [(3, 2), (5, 2), (15, 2), (15, 7), (21, 2), (10, 3), (33, 5), (15, 17)]
     for n, p in cases:
         s = bezout_split(n, p)
@@ -231,18 +228,19 @@ def test_first_n_members_carry_whole_coefficient_set():
 
 
 def test_f0_fast_golden():
-    assert f0_fast(15, 31) == poly([1])
-    assert f0_fast(15, 17) == poly([1, 0, -1, 0, 1])
-    assert f0_fast([3, 5], 19) == extract_residue(phi(285), 19, 0)
+    assert f0_fast((3, 5), 31) == poly([1])
+    assert f0_fast((3, 5), 17) == poly([1, 0, -1, 0, 1])
+    assert f0_fast((3, 5), 19) == extract_residue(phi(285), 19, 0)
     with pytest.raises(RequiresLargeP):
-        f0_fast(15, 7)
+        f0_fast((3, 5), 7)
     with pytest.raises(ValueError):
-        f0_fast(9, 17)  # not squarefree
+        f0_fast((3, 3), 17)  # not squarefree
 
 
 def test_f0_fast_matches_brute():
-    for n, p in ((15, 17), (15, 23), (21, 29), (15, 31), (35, 37), (6, 7)):
-        assert f0_fast(n, p) == fj_family(n, p).members[0], (n, p)
+    cases = (((3, 5), 17), ((3, 5), 23), ((3, 7), 29), ((3, 5), 31), ((5, 7), 37), ((2, 3), 7))
+    for parts, p in cases:
+        assert f0_fast(parts, p) == fj_family(prod(parts), p).members[0], (parts, p)
 
 
 def test_fstar_reduce_of_monomials_when_residue_one():
@@ -288,23 +286,28 @@ def test_fstar_rejects_small_p():
 
 
 def test_constant_terms():
+    # for any prime beyond n, the constant terms of the first n members are
+    # the negated low coefficients of psi(n)
     want15 = [1, 1, 1, 0, 0, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0]
-    assert fj_constant_terms(15) == want15
-    assert fj_constant_terms(7) == [1, -1, 0, 0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        fj_constant_terms(1)
+    assert [-psi(15).coeff(j) for j in range(15)] == want15
     for p in (17, 19, 31):
         members = fj_family(15, p).members
         assert [m.coeff(0) for m in members[:15]] == want15, p
 
 
+def _reciprocity_partner(n, p, j):
+    # members j and z - j (mod p), where z = -phi(n) mod p, share a
+    # coefficient set
+    return (-totient(n) - j) % p
+
+
 def test_reciprocity():
-    assert reciprocity_partner(15, 17, 0) == 9
-    assert reciprocity_partner(15, 17, 10) == 16
+    assert _reciprocity_partner(15, 17, 0) == 9
+    assert _reciprocity_partner(15, 17, 10) == 16
     fam = fj_family(15, 17)
     for j in range(17):
-        k = reciprocity_partner(15, 17, j)
-        assert reciprocity_partner(15, 17, k) == j
+        k = _reciprocity_partner(15, 17, j)
+        assert _reciprocity_partner(15, 17, k) == j
         assert coeff_set(fam.members[j]) == coeff_set(fam.members[k]), j
 
 
@@ -364,12 +367,6 @@ def test_pseudo_residue_one_and_minus_one():
         fj = extract_residue(f14, 14, j)
         want = mod_phi_reduce(poly_mul_scalar(monomial(j + 8), -1), 15)
         assert mod_phi_reduce(fj, 15) == want, j
-
-
-def test_family_json():
-    d = fj_family(15, 2).to_json()
-    assert d["n"] == 15 and d["p"] == 2
-    assert d["members"] == [[1, 0, -1, 0, 1], [1, -1, -1, 1]]
 
 
 def test_periodicity_sets_do_not_come_from_the_shift_family(monkeypatch):

@@ -20,7 +20,6 @@ from cycloforge.intpoly import (
     extract_residue,
     field_width,
     geometric_series,
-    is_reciprocal,
     monomial,
     poly,
     poly_add,
@@ -30,7 +29,6 @@ from cycloforge.intpoly import (
     poly_mul,
     poly_mul_scalar,
     poly_sub,
-    substitute_neg,
     substitute_power,
     to_json_coeffs,
     to_text,
@@ -227,24 +225,11 @@ def test_coeff_set():
     assert coeff_set(poly([3])) == {0, 3}
 
 
-def test_is_reciprocal():
-    assert is_reciprocal(PHI15)
-    assert not is_reciprocal(poly([-1, 1]))
-    assert is_reciprocal(poly([1, 1]))
-
-
 def test_substitute_power():
     assert substitute_power(poly([1, 1, 1]), 2) == poly([1, 0, 1, 0, 1])
     assert substitute_power(PHI15, 1) == PHI15
     phi6 = poly([1, -1, 1])
     assert substitute_power(phi6, 2) == poly([1, 0, -1, 0, 1])
-
-
-def test_substitute_neg():
-    assert substitute_neg(poly([1, 1])) == poly([1, -1])
-    phi30 = poly([1, 1, 0, -1, -1, -1, 0, 1, 1])
-    assert substitute_neg(PHI15) == phi30
-    assert substitute_neg(poly([1, 0, 1])) == poly([1, 0, 1])
 
 
 def test_extract_residue():
@@ -305,11 +290,6 @@ def test_reassembly(a, m):
         part = substitute_power(extract_residue(a, m, j), m)
         total = poly_add(total, poly_mul(monomial(j), part))
     assert total == a
-
-
-@given(small_polys)
-def test_neg_involution(a):
-    assert substitute_neg(substitute_neg(a)) == a
 
 
 @given(small_polys, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))

@@ -1,17 +1,20 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
-memo is bounded, no constructor re-derives a polynomial, and importing
-the CLI loads no process-pool machinery."""
+memo is bounded, no constructor re-derives a polynomial, every public
+function has a caller outside the tests, and importing the CLI loads no
+process-pool machinery."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import cycloforge
 
 PACKAGE = Path(cycloforge.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # memos whose key space is small by construction, not by a maxsize
 UNBOUNDED_MEMOS = {("domains.py", "_odd_primes_below_pow2")}
@@ -88,6 +91,47 @@ def test_no_post_init_derives_a_polynomial():
                         label = getattr(target, "attr", getattr(target, "id", ""))
                         if label in DERIVING_CALLS:
                             found.append(f"{name}: {cls.name} calls {label}")
+    assert found == []
+
+
+def _names(node):
+    # identifiers only: a string, such as the "mobius" value of an enum,
+    # names no function
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
+def _is_click_command(node) -> bool:
+    # reached through its group, never by name
+    return any(
+        isinstance(deco, ast.Call) and getattr(deco.func, "attr", "") == "command"
+        for deco in node.decorator_list
+    )
+
+
+def test_every_public_function_has_a_caller():
+    # a top-level public def or class must be named in the package or the
+    # benchmark somewhere other than its own definition; tests do not count
+    users = defaultdict(set)
+    public = []
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(PERFBENCH.glob("*.py"))]:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = (path.name, getattr(node, "name", None))
+            for name in _names(node):
+                users[name].add(where)
+            if (
+                path.parent == PACKAGE
+                and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and not _is_click_command(node)
+            ):
+                public.append(where)
+    found = [f"{module}: {name}" for module, name in public if not users[name] - {(module, name)}]
     assert found == []
 
 

@@ -29,14 +29,13 @@ def xn_minus_1(n):
 
 
 def test_parts_validation():
-    PseudoParts.of(2, 9, 5)
+    PseudoParts((2, 9, 5))
     with pytest.raises(NotCoprime):
-        PseudoParts.of(6, 9)
+        PseudoParts((6, 9))
     with pytest.raises(ValueError):
-        PseudoParts.of(0, 3)
-    assert PseudoParts.of(9, 2).canonical == (2, 9)
-    assert PseudoParts.of(9, 2).parts == (9, 2)
-    assert PseudoParts.of(4, 15).product == 60
+        PseudoParts((0, 3))
+    assert PseudoParts((9, 2)).canonical == (2, 9)
+    assert PseudoParts((9, 2)).parts == (9, 2)
 
 
 def test_pseudo_phi_golden():
@@ -52,7 +51,7 @@ def test_pseudo_phi_golden():
 
 def test_pseudo_phi_order_blind():
     assert pseudo_phi([9, 2]) == pseudo_phi([2, 9])
-    assert pseudo_phi(PseudoParts.of(5, 4, 3)) == pseudo_phi([3, 4, 5])
+    assert pseudo_phi(PseudoParts((5, 4, 3))) == pseudo_phi([3, 4, 5])
 
 
 def test_pseudo_psi_golden():
