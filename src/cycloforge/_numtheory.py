@@ -15,7 +15,8 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n within the witness-set range."""
+    """Trial division by the witnesses, then deterministic Miller-Rabin
+    for n within the witness-set range."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -23,6 +24,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    # a composite with no prime factor up to 37 is at least 41^2
+    if n < 1681:
+        return True
     d = n - 1
     r = 0
     while d % 2 == 0:

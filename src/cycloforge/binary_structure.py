@@ -38,31 +38,21 @@ class StaircaseCorner:
     mu: int
     lam: int
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.l <= self.p + self.q - 1):
-            raise LOutOfRange(f"l must lie in [1, {self.p + self.q - 1}]")
-        if not (1 <= self.mu <= self.q and 1 <= self.lam <= self.p):
-            raise ValueError("corner out of range")
-        if self.p * self.mu + self.q * self.lam != self.p * self.q + self.l:
-            raise ValueError("corner identity violated")
-
-
-def _require_coprime_pair(p: int, q: int) -> None:
-    if p < 2 or q < 2:
-        raise ValueError("both parts must exceed 1")
-    if gcd(p, q) != 1:
-        raise NotCoprime(f"{p} and {q} share a common factor")
-
 
 def staircase_corner(p: int, q: int, l: int) -> StaircaseCorner:
     """Unique (mu, lam) with p*mu + q*lam = p*q + l in the wide ranges.
     At l = 1 these are the inverses mu = p^-1 (mod q), lam = q^-1 (mod p)."""
-    _require_coprime_pair(p, q)
+    if p < 2 or q < 2:
+        raise ValueError("both parts must exceed 1")
+    if gcd(p, q) != 1:
+        raise NotCoprime(f"{p} and {q} share a common factor")
     if not (1 <= l <= p + q - 1):
         raise LOutOfRange(f"l must lie in [1, {p + q - 1}]")
     mu = (modinv(p, q) * l) % q
     if mu == 0:
         mu = q
+    # p*mu = l (mod q), so lam is exact, and 1 <= mu <= q with
+    # 1 <= l <= p + q - 1 puts it in [1, p]
     lam = (p * q + l - p * mu) // q
     return StaircaseCorner(p, q, l, mu, lam)
 

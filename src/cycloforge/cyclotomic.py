@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from array import array
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb, gcd, prod
 from operator import add, neg
@@ -412,15 +412,19 @@ def poly_gcd_int(a: list[int], b: list[int]) -> list[int]:
     return _primitive(a)
 
 
+def generator_gcd(parts: Sequence[int]) -> list[int]:
+    """Primitive gcd over the integers of the sparse generators
+    1 + x^(m/p) + ... + x^(m (p-1)/p), one per part p of m = prod(parts).
+    Over the primes of m this is phi(m), over pairwise-coprime parts the
+    inclusion-exclusion product."""
+    m = prod(parts)
+    return reduce(poly_gcd_int, [list(geometric_series(m // p, p).coeffs) for p in parts])
+
+
 def _phi_gcd(m: int, n: int) -> IntPolynomial:
-    # gcd of the sparse generators {1 + x^(m/p) + ... + x^(m (p-1)/p)}
     if n > GCD_ALG_LIMIT:
         raise ValueError(f"GcdOfSparse is limited to n <= {GCD_ALG_LIMIT}")
-    primes = [p for p, _ in nt.factorize(m)]
-    gens = [geometric_series(m // p, p) for p in primes]
-    cur = list(gens[0].coeffs)
-    for g in gens[1:]:
-        cur = poly_gcd_int(cur, list(g.coeffs))
+    cur = generator_gcd([p for p, _ in nt.factorize(m)])
     if cur[-1] != 1:
         raise RemainderNonzero("gcd route produced a non-monic result")
     return IntPolynomial(tuple(cur))
@@ -451,8 +455,6 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     genuinely independent code paths; an explicit SparseSeries recomputes
     the top step but may reuse memoised prefixes.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if alg is None:
         return _phi_default(n)
     m, k = radical_reduce(n)
@@ -473,8 +475,6 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
 
 def psi(n: int) -> IntPolynomial:
     """The cofactor of phi(n) in x^n - 1 (monic, degree n - totient(n))."""
-    if n < 1:
-        raise ValueError("n must be positive")
     m, k = radical_reduce(n)
     if m == 1:
         return IntPolynomial((1,))

@@ -42,17 +42,12 @@ from .pseudocyclo import pseudo_phi
 @dataclass(frozen=True, slots=True)
 class FjFamily:
     """The p residue-class members of the cyclotomic polynomial of n*p.
-    Only the shape is checked here; the fj verify suite checks that the
-    members reassemble the polynomial and keep their degree budgets."""
+    The fj verify suite checks that there are p of them, that they
+    reassemble the polynomial and that they keep their degree budgets."""
 
     n: int
     p: int
     members: tuple[IntPolynomial, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        if len(self.members) != self.p:
-            raise ValueError("need exactly p members")
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,16 +69,21 @@ class BezoutSplit:
         return substitute_power(phi(self.n), self.p)
 
 
-def bezout_split(n: int, p: int) -> BezoutSplit:
-    """Unique minimal-degree (a, b). Modulo phi(n) the g factor collapses
-    to the constant p and the h factor to 0, so a is the remainder of f
-    by phi(n) scaled down by p; b then comes out by exact division."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+def _check_pair(n: int, p: int, least: int) -> None:
+    # the (n, p) hypotheses every family and split builder shares
+    if n < least:
+        raise ValueError(f"need n >= {least}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n % p == 0:
         raise NotCoprimeIndex(f"{p} divides {n}")
+
+
+def bezout_split(n: int, p: int) -> BezoutSplit:
+    """Unique minimal-degree (a, b). Modulo phi(n) the g factor collapses
+    to the constant p and the h factor to 0, so a is the remainder of f
+    by phi(n) scaled down by p; b then comes out by exact division."""
+    _check_pair(n, p, 2)
     f = phi(n * p)
     rem = mod_phi_reduce(f, n)
     scaled = []
@@ -103,12 +103,7 @@ def bezout_split(n: int, p: int) -> BezoutSplit:
 
 def fj_family(n: int, p: int) -> FjFamily:
     """Members by direct residue extraction from the full polynomial."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n % p == 0:
-        raise NotCoprimeIndex(f"{p} divides {n}")
+    _check_pair(n, p, 1)
     f = phi(n * p)
     return FjFamily(n, p, tuple(extract_residue(f, p, j) for j in range(p)))
 
@@ -134,10 +129,7 @@ def f0_fast(parts: tuple[int, ...], p: int) -> IntPolynomial:
     if len(set(parts)) != len(parts) or not all(is_prime(q) for q in parts):
         raise ValueError("parts must be distinct primes")
     n = prod(parts)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n % p == 0:
-        raise NotCoprimeIndex(f"{p} divides {n}")
+    _check_pair(n, p, 1)
     if p < n:
         raise RequiresLargeP(f"need p > n, got p={p}, n={n}")
     w = p % n
@@ -155,12 +147,7 @@ def fstar_shifts(n: int, p: int) -> Iterator[IntPolynomial]:
     """The entries of fstar_family(n, p), one at a time, so a caller that
     folds them holds one entry of phi(n)'s degree rather than all n. Bad
     input raises at the call, before any entry is asked for."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n % p == 0:
-        raise NotCoprimeIndex(f"{p} divides {n}")
+    _check_pair(n, p, 1)
     if p < n:
         raise RequiresLargeP(f"need p > n, got p={p}, n={n}")
     fac = factorize(n)

@@ -9,10 +9,9 @@ product. A part equal to 1 collapses the whole product to 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product as cartesian
 from math import gcd, prod
-from typing import Iterable, Union
+from typing import Iterable
 
 from ._numtheory import divisors
 from .cyclotomic import head_and_mirror, signed_subset_product
@@ -20,57 +19,39 @@ from .errors import NotCoprime
 from .intpoly import ONE, IntPolynomial
 
 
-@dataclass(frozen=True, slots=True)
-class PseudoParts:
-    """Pairwise-coprime parts >= 1. User order is preserved for display;
-    computation always runs on the sorted canonical form, so order can
-    never leak into a result."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        for p in self.parts:
-            if not isinstance(p, int) or p < 1:
-                raise ValueError(f"parts must be integers >= 1, got {p!r}")
-        for a, b in combinations(self.parts, 2):
-            if gcd(a, b) != 1:
-                raise NotCoprime(f"parts {a} and {b} share a common factor")
-
-    @property
-    def canonical(self) -> tuple[int, ...]:
-        return tuple(sorted(self.parts))
+def _canonical(parts: Iterable[int]) -> tuple[int, ...]:
+    # Pairwise-coprime parts >= 1, checked in the caller's order and
+    # returned sorted, so order can never leak into a result.
+    ps = tuple(parts)
+    for p in ps:
+        if not isinstance(p, int) or p < 1:
+            raise ValueError(f"parts must be integers >= 1, got {p!r}")
+    for a, b in combinations(ps, 2):
+        if gcd(a, b) != 1:
+            raise NotCoprime(f"parts {a} and {b} share a common factor")
+    return tuple(sorted(ps))
 
 
-PartsLike = Union[PseudoParts, Iterable[int]]
-
-
-def _coerce(parts: PartsLike) -> PseudoParts:
-    if isinstance(parts, PseudoParts):
-        return parts
-    return PseudoParts(tuple(parts))
-
-
-def pseudo_phi(parts: PartsLike) -> IntPolynomial:
+def pseudo_phi(parts: Iterable[int]) -> IntPolynomial:
     """Signed-subset product, from its packed head and the mirror image;
     degree is the product of (p_i - 1)."""
-    ps = _coerce(parts).canonical
+    ps = _canonical(parts)
     if 1 in ps:
         return ONE
     return head_and_mirror(ps)
 
 
-def pseudo_psi(parts: PartsLike) -> IntPolynomial:
+def pseudo_psi(parts: Iterable[int]) -> IntPolynomial:
     """Cofactor: pseudo_phi(parts) * pseudo_psi(parts) = x^(product) - 1."""
-    ps = _coerce(parts).canonical
+    ps = _canonical(parts)
     return signed_subset_product(ps, include_full=False, flip=True)
 
 
-def pseudo_factorization(parts: PartsLike) -> list[int]:
+def pseudo_factorization(parts: Iterable[int]) -> list[int]:
     """Cyclotomic indices m_1*...*m_k over divisor choices m_i | p_i with
     m_i > 1, sorted ascending. Parts equal to 1 admit no choice at all,
     so they are rejected rather than silently producing an empty list."""
-    ps = _coerce(parts).canonical
+    ps = _canonical(parts)
     if 1 in ps:
         raise ValueError("pseudo_factorization needs every part > 1")
     choices = [[d for d in divisors(p) if d > 1] for p in ps]

@@ -8,14 +8,14 @@ rows; the CLI renders one PASS/FAIL line per property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from ._numtheory import primes_up_to, totient
 from .binary_structure import staircase_multiple
 from .cyclotomic import (
     PhiAlgorithm,
+    generator_gcd,
     phi,
-    poly_gcd_int,
     signed_subset_head,
     signed_subset_product,
 )
@@ -51,7 +51,6 @@ from .intpoly import (
     poly_mul,
     poly_mul_scalar,
     poly_sub,
-    substitute_power,
 )
 from .pseudocyclo import pseudo_factorization, pseudo_phi
 
@@ -156,12 +155,15 @@ FJ_PROPERTIES = (
 def check_fj_invariants(
     fam: FjFamily, split: BezoutSplit, ag: IntPolynomial
 ) -> IntPolynomial:
-    """Raise ValueError unless every member keeps its degree budget,
-    member 0 has constant term 1, the members reassemble phi(np), and the
-    split keeps its degree bounds and satisfies f = a*g + b*h. ag is a*g.
-    Return phi(np), which the members were just shown to reassemble; the
-    caller reduces it against ag for the f-equals-g property."""
+    """Raise ValueError unless there are p members, every member keeps its
+    degree budget, member 0 has constant term 1, the members reassemble
+    phi(np), and the split keeps its degree bounds and satisfies
+    f = a*g + b*h. ag is a*g. Return phi(np), which the members were just
+    shown to reassemble; the caller reduces it against ag for the
+    f-equals-g property."""
     n, p = fam.n, fam.p
+    if len(fam.members) != p:
+        raise ValueError("need exactly p members")
     tot = totient(n)
     for j, m in enumerate(fam.members):
         ceil_share = -(-(tot + j) // p)
@@ -275,21 +277,13 @@ def _run_periodicity(n_values: tuple[int, ...], smax: int) -> list[PropertyResul
                 if (s - t) % n != 0 and (s + t) % n != 0:
                     continue
                 compared += 1
+                # both primes exceed the threshold, so the comparison
+                # predicts Equal or Negated and raises unless that set
+                # identity holds
                 try:
-                    rel = periodicity_compare(n, s, t)
+                    periodicity_compare(n, s, t)
                 except RuntimeError as exc:
                     bad.append((n, s, t, str(exc)))
-                    continue
-                # A symmetric coefficient set satisfies both relations, so
-                # check the predicted set identity rather than the label.
-                if rel.predicted is PeriodicityRelation.Equal:
-                    holds = rel.vset_s == rel.vset_t
-                elif rel.predicted is PeriodicityRelation.Negated:
-                    holds = rel.vset_s == {-c for c in rel.vset_t}
-                else:
-                    holds = False
-                if not holds:
-                    bad.append((n, s, t, rel.predicted.value))
     out.append(
         _result(
             "periodicity",
@@ -316,13 +310,6 @@ def _run_periodicity(n_values: tuple[int, ...], smax: int) -> list[PropertyResul
     return out
 
 
-def _pseudo_generators(parts: tuple[int, ...]) -> list[list[int]]:
-    n = prod(parts)
-    return [
-        list(substitute_power(geometric_series(1, p), n // p).coeffs) for p in parts
-    ]
-
-
 def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
     out = []
     prod_bad, gcd_bad = [], []
@@ -335,11 +322,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
             acc = poly_mul(acc, phi(m))
         if acc != f:
             prod_bad.append(parts)
-        gens = _pseudo_generators(parts)
-        g = gens[0]
-        for h in gens[1:]:
-            g = poly_gcd_int(g, h)
-        if poly(g) != f:
+        if poly(generator_gcd(parts)) != f:
             gcd_bad.append(parts)
     out.append(
         _result(

@@ -50,16 +50,6 @@ def test_unit_corner_golden():
         staircase_corner(1, 5, 1)
 
 
-def test_corner_types_validate():
-    with pytest.raises(ValueError):
-        StaircaseCorner(3, 5, 1, 1, 2)  # identity fails
-    with pytest.raises(ValueError):
-        StaircaseCorner(3, 5, 2, 1, 1)
-    StaircaseCorner(3, 5, 2, 4, 1)
-    with pytest.raises(LOutOfRange):
-        StaircaseCorner(3, 5, 9, 4, 1)
-
-
 def test_unit_staircase_golden():
     assert staircase_multiple(3, 5, 1) == phi(15)
     assert staircase_multiple(5, 7, 1) == phi(35)

@@ -63,6 +63,33 @@ def test_phi_rejects_nonpositive(runner):
     assert r.stdout == ""
 
 
+DOMAIN_ERRORS = [
+    ("phi --n 0", "n must be positive"),
+    ("psi --n 0", "n must be positive"),
+    ("bezout --n 1 --p 3", "need n >= 2"),
+    ("bezout --n 15 --p 4", "4 is not prime"),
+    ("bezout --n 15 --p 5", "5 divides 15"),
+    ("fj --n 0 --p 3 --j 0", "need n >= 1"),
+    ("fstar --n 0 --p 5 --j 0", "need n >= 1"),
+    ("fj --n 15 --p 9 --j 0", "9 is not prime"),
+    ("fstar --n 15 --p 7 --j 0", "need p > n, got p=7, n=15"),
+    ("fstar --n 15 --p 5 --j 0", "5 divides 15"),
+    ("pseudo --parts 6,9", "parts 6 and 9 share a common factor"),
+    ("pseudo --parts 6,9 --inverse", "parts 6 and 9 share a common factor"),
+    ("pseudo --parts 0,3", "parts must be integers >= 1, got 0"),
+    ("pseudo --parts 1,3 --factorization", "pseudo_factorization needs every part > 1"),
+    ("staircase --p 3 --q 5 --l 0", "l must lie in [1, 7]"),
+    ("staircase --p 1 --q 5 --l 1", "both parts must exceed 1"),
+    ("ldiagram --p 4 --q 6", "4 and 6 share a common factor"),
+]
+
+
+def test_domain_errors_are_one_exact_line(runner):
+    for args, stderr in DOMAIN_ERRORS:
+        r = runner.invoke(main, args.split())
+        assert (r.exit_code, r.stdout, r.stderr) == (1, "", f"error: {stderr}\n"), args
+
+
 def test_phi_large_n_guard(runner):
     r = runner.invoke(main, ["phi", "--n", "10000001"])
     assert r.exit_code == 1

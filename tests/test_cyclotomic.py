@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloforge import cyclotomic
-from cycloforge._numtheory import factorize, radical, totient
+from cycloforge._numtheory import factorize, is_prime, primes_up_to, radical, totient
 from cycloforge.cyclotomic import (
     GCD_ALG_LIMIT,
     PhiAlgorithm,
@@ -56,6 +56,15 @@ def test_cyclo_index():
     assert radical(1) == 1
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(-5, 10**5) if is_prime(n)] == primes_up_to(10**5)
+    # 41^2, 41*43, the least strong pseudoprime to base 2, and the least
+    # to bases 2, 3, 5 and 7; then a Mersenne prime
+    for n in (1681, 1763, 2047, 3_215_031_751):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1)
 
 
 def test_radical_reduce():

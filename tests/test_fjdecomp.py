@@ -149,10 +149,10 @@ def test_family_invariants_sampled():
     assert built > 40
 
 
-def test_family_post_init_rejects_forgeries():
+def test_split_invariants_reject_forged_families():
     fam = fj_family(15, 2)
-    with pytest.raises(ValueError):
-        FjFamily(15, 2, (fam.members[0],))
+    with pytest.raises(ValueError, match="need exactly p members"):
+        split_invariants(FjFamily(15, 2, (fam.members[0],)))
     with pytest.raises(ValueError):
         split_invariants(FjFamily(15, 2, (fam.members[1], fam.members[0])))
 

@@ -1,8 +1,8 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
-memo is bounded, no constructor re-derives a polynomial, every public
-function has a caller outside the tests, and importing the CLI loads no
-process-pool machinery."""
+memo is bounded, no constructor re-derives a polynomial or raises, every
+public function has a caller outside the tests, and importing the CLI
+loads no process-pool machinery."""
 
 import ast
 import os
@@ -91,6 +91,21 @@ def test_no_post_init_derives_a_polynomial():
                         label = getattr(target, "attr", getattr(target, "id", ""))
                         if label in DERIVING_CALLS:
                             found.append(f"{name}: {cls.name} calls {label}")
+    assert found == []
+
+
+def test_no_post_init_raises():
+    # value types hold values; their invariants are checked where they are
+    # built from outside input or in the verify suites
+    found = [
+        f"{name}: {cls.name}"
+        for name, tree in _modules()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+        if any(isinstance(node, ast.Raise) for node in ast.walk(fn))
+    ]
     assert found == []
 
 

@@ -17,7 +17,6 @@ from cycloforge.intpoly import (
     substitute_power,
 )
 from cycloforge.pseudocyclo import (
-    PseudoParts,
     pseudo_factorization,
     pseudo_phi,
     pseudo_psi,
@@ -29,13 +28,12 @@ def xn_minus_1(n):
 
 
 def test_parts_validation():
-    PseudoParts((2, 9, 5))
-    with pytest.raises(NotCoprime):
-        PseudoParts((6, 9))
-    with pytest.raises(ValueError):
-        PseudoParts((0, 3))
-    assert PseudoParts((9, 2)).canonical == (2, 9)
-    assert PseudoParts((9, 2)).parts == (9, 2)
+    for build in (pseudo_phi, pseudo_psi, pseudo_factorization):
+        build((2, 9, 5))
+        with pytest.raises(NotCoprime, match="parts 6 and 9 share a common factor"):
+            build((6, 9))
+        with pytest.raises(ValueError, match="parts must be integers >= 1, got 0"):
+            build((0, 3))
 
 
 def test_pseudo_phi_golden():
@@ -51,7 +49,7 @@ def test_pseudo_phi_golden():
 
 def test_pseudo_phi_order_blind():
     assert pseudo_phi([9, 2]) == pseudo_phi([2, 9])
-    assert pseudo_phi(PseudoParts((5, 4, 3))) == pseudo_phi([3, 4, 5])
+    assert pseudo_phi((5, 4, 3)) == pseudo_phi((3, 4, 5))
 
 
 def test_pseudo_psi_golden():
@@ -119,7 +117,7 @@ def test_degree_and_values():
 
 
 def test_gcd_characterization():
-    from cycloforge.cyclotomic import poly_gcd_int
+    from cycloforge.cyclotomic import generator_gcd, poly_gcd_int
 
     for parts in ([2, 9], [4, 9], [3, 4, 5], [8, 9], [5, 6]):
         n = prod(parts)
@@ -131,6 +129,7 @@ def test_gcd_characterization():
         for h in gens[1:]:
             g = poly_gcd_int(g, h)
         assert poly(g) == pseudo_phi(parts), parts
+        assert generator_gcd(parts) == g, parts
 
 
 def test_flatness_small_sample():
@@ -147,7 +146,7 @@ def test_flatness_small_sample():
 def test_complement_property(parts):
     if any(gcd(a, b) != 1 for i, a in enumerate(parts) for b in parts[i + 1 :]):
         with pytest.raises(NotCoprime):
-            PseudoParts(tuple(parts))
+            pseudo_phi(tuple(parts))
         return
     n = prod(parts)
     if n > 4000:
