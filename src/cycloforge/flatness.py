@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import prod
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from ._numtheory import is_prime
 from .cyclotomic import (
@@ -521,6 +521,98 @@ def _recomputed_heights(tag: str, rec: dict) -> list[int]:
     return [h(factors)]
 
 
+def _outcome(fn: Callable, x) -> tuple:
+    try:
+        return True, fn(x)
+    except Exception as exc:
+        return False, exc
+
+
+def _run_share(fn: Callable, share: list, fd: int):
+    # a forked child: each outcome goes to the pipe as one pickle as soon as
+    # it is computed, so a full pipe holds the child back until the caller
+    # reads, and the first error ends the share. os._exit skips the
+    # inherited stdio buffers and the exit handlers; exit code 0 means
+    # every pickle was written
+    import pickle
+
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for x in share:
+                ok, result = _outcome(fn, x)
+                out.write(pickle.dumps((ok, result)))
+                out.flush()
+                if not ok:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def fork_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """Yield fn over items, in order, computed on at most
+    min(workers, len(items)) processes. The caller takes items 0, w, 2w,
+    ... itself, and one forked child computes each other share i::w and
+    streams its results, or the exception it raised, back through a pipe.
+    While a child's next result is not in yet, the caller computes its own
+    next item early and holds it, so it does not sit idle when later items
+    cost more. An exception is raised again in item order, after every
+    earlier result, as a serial map would. Every child is reaped, and
+    killed first if the map stops early, when the generator finishes,
+    raises or is closed. One worker or item, or a platform without
+    os.fork, forks nothing."""
+    items = list(items)
+    w = min(workers, len(items)) if hasattr(os, "fork") else 1
+    if w > 1:
+        import pickle  # here, so start-up and one-worker maps skip them
+        import select
+        import signal
+    children: dict[int, tuple] = {}  # share -> (pid, pipe reader), until reaped
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                _run_share(fn, items[i::w], wr)
+            os.close(wr)
+            children[i] = (pid, open(r, "rb"))
+        held: dict[int, tuple] = {}  # the caller's next outcome, computed early
+        for j, x in enumerate(items):
+            if j % w == 0:
+                ok, result = held.pop(j) if j in held else (True, fn(x))
+            else:
+                pid, reader = children[j % w]
+                k = j - j % w + w  # the caller's next item
+                # select sees the pipe, not what the reader has buffered; a
+                # miss only starts item k before it is due
+                waiting = not select.select([reader], [], [], 0)[0]
+                if waiting and k < len(items) and k not in held:
+                    held[k] = _outcome(fn, items[k])
+                try:
+                    ok, result = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    del children[j % w]
+                    reader.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    raise RuntimeError(
+                        f"worker process {pid} ended with exit code {code}"
+                    ) from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid, reader in children.values():
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _windows(bound: int, width: int):
     lo = 1
     while lo <= bound:
@@ -555,18 +647,9 @@ def scan(
             hits.extend(store.hits.get(key, []))
         else:
             descs.append((conjecture, lo, hi, bound))
-    if workers <= 1:
-        outcomes = map(_scan_chunk, descs)
-        for lo, hi, records, chunk_hits in outcomes:
-            store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)
-            hits.extend(chunk_hits)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # here, so start-up skips it
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for lo, hi, records, chunk_hits in pool.map(_scan_chunk, descs):
-                store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)
-                hits.extend(chunk_hits)
+    for lo, hi, records, chunk_hits in fork_map(_scan_chunk, descs, workers):
+        store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)
+        hits.extend(chunk_hits)
     hits.sort(key=lambda rec: (rec["n"], rec.get("p", 0), rec["factors"]))
     return ScanReport(conjecture, (1, bound), hits, time.monotonic() - t0, True)
 

@@ -34,6 +34,7 @@ from .flatness import (
     VerdictStatus,
     classify,
     coefficient_set_of,
+    fork_map,
     height_of,
     height_record,
     scan,
@@ -236,16 +237,9 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
 def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
     pairs = _fj_grid(nmax, pmax)
     chunks = [pairs[i : i + 150] for i in range(0, len(pairs), 150)]
-    if jobs <= 1:
-        outcomes = map(_fj_check_chunk, chunks)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # here, so start-up skips it
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_fj_check_chunk, chunks))
     merged: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
     total = 0
-    for checked, fails in outcomes:
+    for checked, fails in fork_map(_fj_check_chunk, chunks, jobs):
         total += checked
         for key, rows in fails.items():
             merged[key].extend(rows)

@@ -349,7 +349,7 @@ def test_stdout_determinism_and_timing(runner):
     assert t.stderr.startswith("timing: ")
 
 
-def _psi_into_head(nbytes: int):
+def _cli_process(args: str):
     import os
     import shlex
     import subprocess
@@ -366,13 +366,27 @@ def _psi_into_head(nbytes: int):
         p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        f"{shlex.quote(sys.executable)} -m cycloforge.cli psi --n 100000 | head -c {nbytes}",
+        f"{shlex.quote(sys.executable)} -m cycloforge.cli {args}",
         shell=True,
         capture_output=True,
         text=True,
         timeout=30,
         env=env,
     )
+
+
+def _psi_into_head(nbytes: int):
+    return _cli_process(f"psi --n 100000 | head -c {nbytes}")
+
+
+def test_scan_jobs_2_stdout_matches_jobs_1():
+    # the whole command through a real stdout pipe, workers forked and all
+    one, two = (
+        _cli_process(f"scan --conjecture height_drop_p3 --bound 8000 --jobs {jobs} --no-cache")
+        for jobs in (1, 2)
+    )
+    assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
+    assert one.stdout.count("\n") == 3
 
 
 def test_broken_pipe_exits_quietly():

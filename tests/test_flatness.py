@@ -5,6 +5,9 @@ through the polynomial layer, which the classifier never calls.
 """
 
 import json
+import os
+import signal
+import time
 import tracemalloc
 from collections import Counter
 from math import prod
@@ -15,12 +18,17 @@ from cycloforge import flatness
 from cycloforge._numtheory import factorize, primes_up_to
 from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_product
 from cycloforge.domains import chain4, coprime_tuples, prime_tuples
-from cycloforge.errors import NotSortedDistinctOddPrimes, UnknownConjecture
+from cycloforge.errors import (
+    NotSortedDistinctOddPrimes,
+    RemainderNonzero,
+    UnknownConjecture,
+)
 from cycloforge.flatness import (
     HeightCache,
     VerdictStatus,
     classify,
     coefficient_set_of,
+    fork_map,
     height_of,
     height_record,
     report_csv_rows,
@@ -399,11 +407,124 @@ def test_scan_journal_torn_tail_keeps_hits(tmp_path):
     assert again.complete
 
 
-def test_scan_workers_pool_matches_inline():
+def test_scan_workers_pool_matches_inline(tmp_path):
     inline = scan("height_drop_p3", 6000, workers=1)
     pooled = scan("height_drop_p3", 6000, workers=2, chunk_width=1500)
     assert pooled.counterexamples == inline.counterexamples
     assert pooled.complete
+    # the driver journals every chunk in window order, whoever computed it
+    journals = [tmp_path / "one.jsonl", tmp_path / "two.jsonl"]
+    for workers, journal in enumerate(journals, start=1):
+        scan("height_drop_p3", 6000, workers=workers, cache=str(journal), chunk_width=1500)
+    assert journals[0].read_bytes() == journals[1].read_bytes()
+
+
+def test_fork_map_forks_one_child_per_extra_item(monkeypatch):
+    forks = []
+    real = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    assert list(fork_map(lambda x: x * x, [2, 3, 4], workers=64)) == [4, 9, 16]
+    assert len(forks) == 2
+    forks.clear()
+    assert list(fork_map(lambda x: x * x, [5], workers=64)) == [25]
+    assert list(fork_map(lambda x: x * x, [2, 3], workers=1)) == [4, 9]
+    assert forks == []
+
+
+def test_fork_map_reports_a_worker_that_dies():
+    # item 1 is the child's share; it dies without sending anything back
+    def die(x):
+        if x == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(RuntimeError, match="exit code -9"):
+        list(fork_map(die, [0, 1], workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _wait_for(marker, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not marker.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return marker.exists()
+
+
+def test_fork_map_caller_works_ahead_of_a_busy_child(tmp_path):
+    # item 1 is the child's and waits for item 2, the caller's next one, so
+    # it finishes in time only if the caller starts item 2 while it waits
+    def f(x):
+        if x == 2:
+            (tmp_path / "two").touch()
+        return _wait_for(tmp_path / "two") if x == 1 else x
+
+    assert list(fork_map(f, [0, 1, 2], workers=2)) == [0, True, 2]
+
+    # an item computed early that fails still fails after the earlier ones
+    def g(x):
+        if x == 2:
+            (tmp_path / "two-failed").touch()
+            raise RemainderNonzero("item 2")
+        return _wait_for(tmp_path / "two-failed") if x == 1 else x
+
+    results = fork_map(g, [0, 1, 2], workers=2)
+    assert (next(results), next(results)) == (0, True)
+    with pytest.raises(RemainderNonzero, match="item 2"):
+        next(results)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_closed_early_reaps_its_children():
+    # a caller that stops reading, as scan does when record_chunk raises
+    results = fork_map(lambda x: x * x, range(6), workers=3)
+    assert next(results) == 0
+    results.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_children_leave_the_stdout_buffer_alone():
+    # stdout is a pipe, so the line printed before the fork sits in the
+    # buffer every child inherits; a child that flushed it on its way out
+    # would print it twice
+    import subprocess
+    import sys
+
+    script = (
+        "from cycloforge.flatness import fork_map\n"
+        "print('before')\n"
+        "print(list(fork_map(abs, [-1, -2, -3], workers=3)))\n"
+    )
+    pkg_root = os.path.dirname(os.path.dirname(flatness.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before\n[1, 2, 3]\n", "")
+
+
+@pytest.mark.parametrize("failing_lo", [5001, 4001], ids=["child-share", "own-share"])
+def test_scan_worker_error_is_raised_and_children_reaped(monkeypatch, tmp_path, failing_lo):
+    # on two workers the caller scans windows 0, 2, 4 and its child 1, 3, 5;
+    # the windows before the failing one are journalled as they arrive
+    real = flatness._scan_chunk
+
+    def chunk(desc):
+        if desc[1] == failing_lo:
+            raise RemainderNonzero(f"window at {failing_lo}")
+        return real(desc)
+
+    monkeypatch.setattr(flatness, "_scan_chunk", chunk)
+    journal = tmp_path / "scan.jsonl"
+    with pytest.raises(RemainderNonzero, match=f"window at {failing_lo}"):
+        scan("height_drop_p3", 6000, workers=2, cache=str(journal), chunk_width=1000)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    done = sorted(key[-2:] for key in HeightCache(str(journal)).chunks)
+    assert done == [(lo, lo + 999) for lo in range(1, failing_lo, 1000)]
 
 
 def test_report_csv_and_json():

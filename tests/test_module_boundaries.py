@@ -1,8 +1,8 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
 memo is bounded, no constructor re-derives a polynomial or raises, every
-public function has a caller outside the tests, and importing the CLI
-loads no process-pool machinery."""
+public function has a caller outside the tests, and no process-pool
+machinery is imported, by the source or by a parallel scan."""
 
 import ast
 import os
@@ -150,10 +150,36 @@ def test_every_public_function_has_a_caller():
     assert found == []
 
 
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _imported(node):
+    if isinstance(node, ast.Import):
+        yield from (alias.name for alias in node.names)
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        yield node.module
+        yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_process_pool_imports():
+    # --jobs forks through flatness.fork_map; the pool stack costs start-up
+    # and memory and starts more processes than there are chunks
+    found = [
+        f"{name}:{node.lineno} imports {module}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        for module in _imported(node)
+        if any(module == m or module.startswith(m + ".") for m in POOL_MODULES)
+    ]
+    assert found == []
+
+
 def test_cli_import_loads_no_process_pool():
-    # the pool is imported on the --jobs > 1 paths only, so start-up skips it
+    # neither start-up nor a scan on two workers loads the pool machinery
     script = (
         "import sys, cycloforge.cli\n"
+        "from cycloforge.flatness import scan\n"
+        "scan('height_drop_p3', 4000, workers=2, chunk_width=1000)\n"
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
         " if m in sys.modules))\n"
     )
