@@ -101,26 +101,6 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-def modinv(a: int, m: int) -> int:
-    """Inverse of a modulo m; requires gcd(a, m) = 1."""
-    g, x, _ = _egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m}")
-    return x % m
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def primes_up_to(limit: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive of limit."""
     if limit < 2:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from ._numtheory import modinv
 from .cyclotomic import phi
 from .errors import LOutOfRange, NotCoprime
 from .intpoly import (
@@ -48,7 +47,7 @@ def staircase_corner(p: int, q: int, l: int) -> StaircaseCorner:
         raise NotCoprime(f"{p} and {q} share a common factor")
     if not (1 <= l <= p + q - 1):
         raise LOutOfRange(f"l must lie in [1, {p + q - 1}]")
-    mu = (modinv(p, q) * l) % q
+    mu = (pow(p, -1, q) * l) % q
     if mu == 0:
         mu = q
     # p*mu = l (mod q), so lam is exact, and 1 <= mu <= q with

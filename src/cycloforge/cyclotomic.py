@@ -90,14 +90,14 @@ def _div_xd_minus_1(c: list[int], d: int) -> list[int]:
 
 
 def _binomials(
-    parts: tuple[int, ...], include_full: bool = True, flip: bool = False
+    parts: tuple[int, ...], cofactor: bool = False
 ) -> tuple[list[int], list[int]]:
     # the exponents d of the positively and the negatively signed x^d - 1
     k = len(parts)
     plus: list[int] = []
     minus: list[int] = []
-    for r in range(k + 1 if include_full else k):
-        positive = ((k - r) % 2 == 0) ^ flip
+    for r in range(k if cofactor else k + 1):
+        positive = ((k - r) % 2 == 0) ^ cofactor
         bucket = plus if positive else minus
         for combo in combinations(parts, r):
             bucket.append(prod(combo))
@@ -105,13 +105,15 @@ def _binomials(
 
 
 def signed_subset_product(
-    parts: tuple[int, ...], include_full: bool = True, flip: bool = False
+    parts: tuple[int, ...], cofactor: bool = False
 ) -> IntPolynomial:
     """Inclusion-exclusion product over pairwise-coprime parts: one binomial
-    x^d - 1 per subset (the full set only with include_full), d the product
-    of the subset, signed + when the complement has even size (the other
-    way round with flip). Over the primes of m this is phi(m)."""
-    plus, minus = _binomials(parts, include_full, flip)
+    x^d - 1 per subset, d the product of the subset, signed + when the
+    complement has even size. Over the primes of m this is phi(m). With
+    cofactor, the full set is left out and every sign is swapped, which
+    gives the cofactor: the two products multiply to x^N - 1, N the product
+    of all the parts."""
+    plus, minus = _binomials(parts, cofactor)
     # Multiply every positively-signed binomial first, then exact-divide by
     # the negative ones in increasing degree order; the division kernel's
     # remainder check doubles as a self-test.
@@ -369,18 +371,8 @@ def _sparse_phi(m: int) -> list[int]:
 # gcd route
 
 
-def _content(c: list[int]) -> int:
-    g = 0
-    for v in c:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                break
-    return g or 1
-
-
 def _primitive(c: list[int]) -> list[int]:
-    g = _content(c)
+    g = gcd(*c) or 1
     if c[-1] < 0:
         g = -g
     if g != 1:

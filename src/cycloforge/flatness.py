@@ -405,13 +405,12 @@ def _chunk_key(tag: str, bound: int, lo: int, hi: int) -> tuple:
 class HeightCache:
     """JSON-lines journal: one record per polynomial plus chunk markers
     and recorded hits. Only the scan driver writes; workers stay pure.
-    Chunks are keyed by _chunk_key, so a larger bound reuses the windows
-    a smaller one finished."""
+    hits maps each finished chunk, keyed by _chunk_key, to its hits, so a
+    larger bound reuses the windows a smaller one finished."""
 
     def __init__(self, path: str | None):
         self.path = path
         self.heights: dict[tuple, dict] = {}
-        self.chunks: set[tuple] = set()
         self.hits: dict[tuple, list[dict]] = {}
         if path and os.path.exists(path):
             self._load()
@@ -432,7 +431,6 @@ class HeightCache:
                 if "chunk_done" in obj:
                     lo, hi = obj["chunk_done"]
                     key = _chunk_key(obj["conjecture"], obj["bound"], lo, hi)
-                    self.chunks.add(key)
                     self.hits[key] = pending.pop((obj["conjecture"], obj["bound"], lo, hi), [])
                 elif "hit" in obj:
                     lo, hi = obj["chunk"]
@@ -456,9 +454,7 @@ class HeightCache:
         fresh = [r for r in records if tuple(r["factors"]) not in self.heights]
         for r in fresh:
             self.heights[tuple(r["factors"])] = r
-        key = _chunk_key(tag, bound, lo, hi)
-        self.chunks.add(key)
-        self.hits[key] = hits
+        self.hits[_chunk_key(tag, bound, lo, hi)] = hits
         if self.path is None:
             return
         lines = [json.dumps(r) for r in fresh]
@@ -521,13 +517,6 @@ def _recomputed_heights(tag: str, rec: dict) -> list[int]:
     return [h(factors)]
 
 
-def _outcome(fn: Callable, x) -> tuple:
-    try:
-        return True, fn(x)
-    except Exception as exc:
-        return False, exc
-
-
 def _run_share(fn: Callable, share: list, fd: int):
     # a forked child: each outcome goes to the pipe as one pickle as soon as
     # it is computed, so a full pipe holds the child back until the caller
@@ -540,7 +529,10 @@ def _run_share(fn: Callable, share: list, fd: int):
     try:
         with open(fd, "wb") as out:
             for x in share:
-                ok, result = _outcome(fn, x)
+                try:
+                    ok, result = True, fn(x)
+                except Exception as exc:
+                    ok, result = False, exc
                 out.write(pickle.dumps((ok, result)))
                 out.flush()
                 if not ok:
@@ -551,26 +543,25 @@ def _run_share(fn: Callable, share: list, fd: int):
 
 
 def fork_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
-    """Yield fn over items, in order, computed on at most
-    min(workers, len(items)) processes. The caller takes items 0, w, 2w,
-    ... itself, and one forked child computes each other share i::w and
-    streams its results, or the exception it raised, back through a pipe.
-    While a child's next result is not in yet, the caller computes its own
-    next item early and holds it, so it does not sit idle when later items
-    cost more. An exception is raised again in item order, after every
-    earlier result, as a serial map would. Every child is reaped, and
-    killed first if the map stops early, when the generator finishes,
-    raises or is closed. One worker or item, or a platform without
-    os.fork, forks nothing."""
+    """Yield fn over items, in order. With w = min(workers, len(items)) of
+    2 or more, child i of w forked children computes items[i::w] back to
+    back and streams each result, or the exception it raised, through a
+    pipe; the caller only reads, item j from child j % w. An exception is
+    raised again in item order, after every earlier result, as a serial
+    map would. Every child is reaped, and killed first if the map stops
+    early, when the generator finishes, raises or is closed. One worker or
+    item, or a platform without os.fork, forks nothing."""
     items = list(items)
     w = min(workers, len(items)) if hasattr(os, "fork") else 1
-    if w > 1:
-        import pickle  # here, so start-up and one-worker maps skip them
-        import select
-        import signal
+    if w < 2:
+        yield from map(fn, items)
+        return
+    import pickle  # here, so start-up and one-worker maps skip them
+    import signal
+
     children: dict[int, tuple] = {}  # share -> (pid, pipe reader), until reaped
     try:
-        for i in range(1, w):
+        for i in range(w):
             r, wr = os.pipe()
             try:
                 pid = os.fork()
@@ -582,27 +573,17 @@ def fork_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
                 _run_share(fn, items[i::w], wr)
             os.close(wr)
             children[i] = (pid, open(r, "rb"))
-        held: dict[int, tuple] = {}  # the caller's next outcome, computed early
-        for j, x in enumerate(items):
-            if j % w == 0:
-                ok, result = held.pop(j) if j in held else (True, fn(x))
-            else:
-                pid, reader = children[j % w]
-                k = j - j % w + w  # the caller's next item
-                # select sees the pipe, not what the reader has buffered; a
-                # miss only starts item k before it is due
-                waiting = not select.select([reader], [], [], 0)[0]
-                if waiting and k < len(items) and k not in held:
-                    held[k] = _outcome(fn, items[k])
-                try:
-                    ok, result = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):
-                    del children[j % w]
-                    reader.close()
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    raise RuntimeError(
-                        f"worker process {pid} ended with exit code {code}"
-                    ) from None
+        for j in range(len(items)):
+            pid, reader = children[j % w]
+            try:
+                ok, result = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                del children[j % w]
+                reader.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(
+                    f"worker process {pid} ended with exit code {code}"
+                ) from None
             if not ok:
                 raise result
             yield result
@@ -643,8 +624,8 @@ def scan(
     hits: list[dict] = []
     for lo, hi in _windows(bound, chunk_width):
         key = _chunk_key(conjecture, bound, lo, hi)
-        if key in store.chunks:
-            hits.extend(store.hits.get(key, []))
+        if key in store.hits:
+            hits.extend(store.hits[key])
         else:
             descs.append((conjecture, lo, hi, bound))
     for lo, hi, records, chunk_hits in fork_map(_scan_chunk, descs, workers):

@@ -69,9 +69,6 @@ class IntPolynomial:
             acc = acc * value + c
         return acc
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self.coeffs)})"
 

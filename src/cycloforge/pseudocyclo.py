@@ -44,7 +44,7 @@ def pseudo_phi(parts: Iterable[int]) -> IntPolynomial:
 def pseudo_psi(parts: Iterable[int]) -> IntPolynomial:
     """Cofactor: pseudo_phi(parts) * pseudo_psi(parts) = x^(product) - 1."""
     ps = _canonical(parts)
-    return signed_subset_product(ps, include_full=False, flip=True)
+    return signed_subset_product(ps, cofactor=True)
 
 
 def pseudo_factorization(parts: Iterable[int]) -> list[int]:

@@ -181,7 +181,7 @@ def test_every_tag_scans_the_same_in_one_window_and_many(tag):
     one, many = HeightCache(None), HeightCache(None)
     rep_one = scan(tag, bound, cache=one, chunk_width=bound)
     rep_many = scan(tag, bound, cache=many, chunk_width=bound // 11)
-    assert len(one.chunks) == 1 and len(many.chunks) == 12
+    assert len(one.hits) == 1 and len(many.hits) == 12
     assert rep_many.counterexamples == rep_one.counterexamples
     assert many.heights == one.heights
     assert one.heights and all(len(set(fs)) == len(fs) for fs in one.heights)

@@ -424,15 +424,22 @@ def test_fork_map_forks_one_child_per_extra_item(monkeypatch):
     real = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
     assert list(fork_map(lambda x: x * x, [2, 3, 4], workers=64)) == [4, 9, 16]
-    assert len(forks) == 2
+    assert len(forks) == 3
     forks.clear()
     assert list(fork_map(lambda x: x * x, [5], workers=64)) == [25]
     assert list(fork_map(lambda x: x * x, [2, 3], workers=1)) == [4, 9]
     assert forks == []
 
 
+def test_fork_map_caller_computes_no_item():
+    # when the map forks, every item runs on a child; otherwise on the caller
+    pids = list(fork_map(lambda x: os.getpid(), range(4), workers=2))
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert list(fork_map(lambda x: os.getpid(), range(4), workers=1)) == [os.getpid()] * 4
+
+
 def test_fork_map_reports_a_worker_that_dies():
-    # item 1 is the child's share; it dies without sending anything back
+    # item 1 is child 1's share; it dies without sending anything back
     def die(x):
         if x == 1:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -452,8 +459,8 @@ def _wait_for(marker, seconds=10.0):
 
 
 def test_fork_map_caller_works_ahead_of_a_busy_child(tmp_path):
-    # item 1 is the child's and waits for item 2, the caller's next one, so
-    # it finishes in time only if the caller starts item 2 while it waits
+    # item 1 is child 1's and waits for item 2, child 0's next one, so it
+    # finishes in time only if child 0 starts item 2 before item 1 is read
     def f(x):
         if x == 2:
             (tmp_path / "two").touch()
@@ -461,7 +468,8 @@ def test_fork_map_caller_works_ahead_of_a_busy_child(tmp_path):
 
     assert list(fork_map(f, [0, 1, 2], workers=2)) == [0, True, 2]
 
-    # an item computed early that fails still fails after the earlier ones
+    # an item computed before its turn that fails still fails after the
+    # earlier ones
     def g(x):
         if x == 2:
             (tmp_path / "two-failed").touch()
@@ -508,8 +516,8 @@ def test_fork_map_children_leave_the_stdout_buffer_alone():
 
 @pytest.mark.parametrize("failing_lo", [5001, 4001], ids=["child-share", "own-share"])
 def test_scan_worker_error_is_raised_and_children_reaped(monkeypatch, tmp_path, failing_lo):
-    # on two workers the caller scans windows 0, 2, 4 and its child 1, 3, 5;
-    # the windows before the failing one are journalled as they arrive
+    # on two workers child 0 scans windows 0, 2, 4 and child 1 windows 1, 3,
+    # 5; the windows before the failing one are journalled as they arrive
     real = flatness._scan_chunk
 
     def chunk(desc):
@@ -523,7 +531,7 @@ def test_scan_worker_error_is_raised_and_children_reaped(monkeypatch, tmp_path, 
         scan("height_drop_p3", 6000, workers=2, cache=str(journal), chunk_width=1000)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    done = sorted(key[-2:] for key in HeightCache(str(journal)).chunks)
+    done = sorted(key[-2:] for key in HeightCache(str(journal)).hits)
     assert done == [(lo, lo + 999) for lo in range(1, failing_lo, 1000)]
 
 

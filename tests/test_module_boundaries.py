@@ -175,13 +175,14 @@ def test_no_process_pool_imports():
 
 
 def test_cli_import_loads_no_process_pool():
-    # neither start-up nor a scan on two workers loads the pool machinery
+    # neither start-up nor a scan on two workers loads the pool machinery,
+    # and the caller only reads its children's pipes, so select stays out too
     script = (
         "import sys, cycloforge.cli\n"
         "from cycloforge.flatness import scan\n"
         "scan('height_drop_p3', 4000, workers=2, chunk_width=1000)\n"
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
-        " if m in sys.modules))\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',"
+        " 'select') if m in sys.modules))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
