@@ -15,15 +15,7 @@ from math import gcd
 
 from .cyclotomic import phi
 from .errors import LOutOfRange, NotCoprime
-from .intpoly import (
-    IntPolynomial,
-    geometric_series,
-    monomial,
-    poly,
-    poly_mod_monic,
-    poly_mul,
-    poly_sub,
-)
+from .intpoly import IntPolynomial, poly, poly_mod_monic
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,11 +52,18 @@ def staircase_multiple(p: int, q: int, l: int) -> IntPolynomial:
     """(1 + x + ... + x^(l-1)) times the two-part polynomial, assembled
     from the level-l corner; always flat. At l = 1 this is the two-part
     polynomial itself: one block of full rows times full columns, minus
-    x times the complementary block."""
+    x times the complementary block. A block's exponents i*p + j*q
+    (i < q, j < p) are distinct, so each of its rows is a strided run."""
     c = staircase_corner(p, q, l)
-    head = poly_mul(geometric_series(p, c.mu), geometric_series(q, c.lam))
-    tail = poly_mul(geometric_series(p, q - c.mu), geometric_series(q, p - c.lam))
-    return poly_sub(head, poly_mul(monomial(l), tail))
+    # p*mu + q*lam = p*q + l puts the block's top term above the complement's
+    out = [0] * (p * q + l - p - q + 1)
+    for j in range(c.lam):
+        out[j * q : j * q + c.mu * p : p] = [1] * c.mu
+    for j in range(p - c.lam):
+        # the shifted complement may land on the block's ones: read first
+        row = slice(l + j * q, l + j * q + (q - c.mu) * p, p)
+        out[row] = [v - 1 for v in out[row]]
+    return IntPolynomial(tuple(out))
 
 
 def ldiagram_render(p: int, q: int) -> str:

@@ -8,13 +8,12 @@ degree is the NEG_INF sentinel, which compares below every integer.
 The canonical text form is the space-separated coefficient list from
 degree 0 upward, e.g. "1 -1 1" for x^2 - x + 1.
 
-Two kernels carry the arithmetic. Products, poly_mul, go through the
-packed codec (Kronecker substitution: a polynomial evaluated at x = 2^b
-is one Python int, one signed b-bit field per coefficient), which the
-packed head kernel in cyclotomic shares; only operands with no more
-pairs of nonzero terms than their product has coefficients, such as
-geometric series, are multiplied pair by pair. Quotients and remainders,
-exact or pseudo, go through the one long-division loop, long_divide.
+Two kernels carry the arithmetic. Every product, poly_mul, goes through
+the packed codec (Kronecker substitution: a polynomial evaluated at
+x = 2^b is one Python int, one signed b-bit field per coefficient),
+which the packed head kernel in cyclotomic shares. Quotients and
+remainders, exact or pseudo, go through the one long-division loop,
+long_divide.
 """
 
 from __future__ import annotations
@@ -80,12 +79,6 @@ ONE = IntPolynomial((1,))
 def poly(coeffs: Iterable[int]) -> IntPolynomial:
     """Build a polynomial from any iterable of degree-0-first coefficients."""
     return IntPolynomial(tuple(coeffs))
-
-
-def monomial(k: int, c: int = 1) -> IntPolynomial:
-    if k < 0:
-        raise ValueError("monomial exponent must be nonnegative")
-    return IntPolynomial((0,) * k + (c,))
 
 
 def geometric_series(step: int, terms: int) -> IntPolynomial:
@@ -171,30 +164,17 @@ def unpack(x: int, b: int, count: int) -> Sequence[int]:
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact product. When the pairs of nonzero terms are no more than the
-    product's coefficients, they are summed directly; otherwise both
-    operands are packed at x = 2^bits (Kronecker substitution), multiplied
-    as two ints, and the product's fields decoded."""
+    """Exact product: both operands are packed at x = 2^bits (Kronecker
+    substitution), multiplied as two ints, and the product's fields
+    decoded."""
     xs, ys = a.coeffs, b.coeffs
     if not xs or not ys:
         return ZERO
     size = len(xs) + len(ys) - 1
-    tx, ty = len(xs) - xs.count(0), len(ys) - ys.count(0)
-    if tx * ty <= size:
-        # sparse operands, such as geometric series with coprime steps: the
-        # pair loop takes at most one step per coefficient of the product,
-        # while the packed multiply would pay for every zero field
-        ny = [(j, v) for j, v in enumerate(ys) if v]
-        out = [0] * size
-        for i, c in enumerate(xs):
-            if c:
-                for j, v in ny:
-                    out[i + j] += c * v
-        return IntPolynomial(_trim(out))
     # [x^k](a b) sums at most min(nonzeros) products of a coefficient of a
     # and one of b, so this bound, proved from the operands and never read
     # off the product, holds every field of the product and of both operands
-    terms = min(tx, ty)
+    terms = min(len(xs) - xs.count(0), len(ys) - ys.count(0))
     bits = field_width(terms * max(map(abs, xs)) * max(map(abs, ys)))
     out = unpack(_pack(xs, bits) * _pack(ys, bits), bits, size)
     if sum(xs) * sum(ys) != sum(out):

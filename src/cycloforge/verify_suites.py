@@ -44,7 +44,6 @@ from .intpoly import (
     IntPolynomial,
     coeff_set,
     geometric_series,
-    monomial,
     poly,
     poly_add,
     poly_height,
@@ -225,7 +224,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
             base = phi(n)
             for j in range(n):
                 want = poly_add(
-                    poly_mul(monomial(1), stars[(j - 1) % n]),
+                    poly((0,) + stars[(j - 1) % n].coeffs),
                     poly_mul_scalar(base, stars[j].coeff(0)),
                 )
                 if stars[j] != want:

@@ -16,15 +16,13 @@ from cycloforge.binary_structure import (
 )
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import LOutOfRange, NotCoprime
-from cycloforge.intpoly import (
-    geometric_series,
-    monomial,
-    poly,
-    poly_height,
-    poly_mod_monic,
-    poly_mul,
-)
+from cycloforge.intpoly import geometric_series, poly, poly_height, poly_mod_monic, poly_mul
 from cycloforge.pseudocyclo import pseudo_phi
+
+
+def monomial(k, c=1):
+    return poly((0,) * k + (c,))
+
 
 DIAGRAM_5_7 = """\
 28 33  3 |  8 13 18 23
@@ -85,9 +83,13 @@ def test_staircase_identity_and_flat():
 
     pairs = [(p, q) for p in range(2, 14) for q in range(p + 1, 40)
              if gcd(p, q) == 1 and p * q <= 300]
-    for p, q in pairs:
+    cuts = {(a, b): range(1, a + b) for p, q in pairs for a, b in ((p, q), (q, p))}
+    # long strided rows, with either part the longer
+    cuts[997, 1009] = (1, 1000)
+    cuts[1009, 997] = (2005,)
+    for (p, q), ls in cuts.items():
         base = pseudo_phi([p, q])
-        for l in range(1, p + q):
+        for l in ls:
             s = staircase_multiple(p, q, l)
             assert s == poly_mul(geometric_series(1, l), base), (p, q, l)
             assert poly_height(s) == 1, (p, q, l)

@@ -28,7 +28,6 @@ from cycloforge.errors import RemainderNonzero
 from cycloforge.intpoly import (
     coeff_set,
     long_divide,
-    monomial,
     poly,
     poly_height,
     poly_mul,
@@ -36,6 +35,10 @@ from cycloforge.intpoly import (
     substitute_power,
 )
 from cycloforge.pseudocyclo import pseudo_phi
+
+
+def monomial(k, c=1):
+    return poly((0,) * k + (c,))
 
 
 def _at_neg_x(a):

@@ -29,7 +29,6 @@ from cycloforge.intpoly import (
     IntPolynomial,
     coeff_set,
     extract_residue,
-    monomial,
     poly,
     poly_add,
     poly_mul,
@@ -38,6 +37,11 @@ from cycloforge.intpoly import (
 )
 from cycloforge.pseudocyclo import pseudo_phi
 from cycloforge.verify_suites import check_fj_invariants
+
+
+def monomial(k, c=1):
+    return poly((0,) * k + (c,))
+
 
 # An (offset, poly) pair stands for x^offset * poly; offsets may be negative.
 

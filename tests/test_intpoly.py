@@ -20,7 +20,6 @@ from cycloforge.intpoly import (
     extract_residue,
     field_width,
     geometric_series,
-    monomial,
     poly,
     poly_add,
     poly_exact_div,
@@ -40,6 +39,10 @@ PSI15 = poly([-1, -1, -1, 0, 0, 1, 1, 1])
 PHI35 = poly(
     [1, -1, 0, 0, 0, 1, -1, 1, -1, 0, 1, -1, 1, -1, 1, 0, -1, 1, -1, 1, 0, 0, 0, -1, 1]
 )
+
+
+def monomial(k, c=1):
+    return poly((0,) * k + (c,))
 
 
 def test_trimming_and_degree():
@@ -110,18 +113,17 @@ def _mul_cases():
         for p, q, mu, lam in ((3, 5, 2, 4), (7, 11, 6, 1), (13, 17, 9, 12), (101, 103, 50, 77))
     ]
     cases += [(geometric_series(1, 40), geometric_series(1, 40)), (poly([1, 0, -1]), PHI35)]
+    # geometric series with coprime steps: far fewer pairs of terms than
+    # product coefficients, so most fields of the packed product are zero
+    cases.append((geometric_series(997, 500), geometric_series(1009, 495)))
     cases.append((poly([rng.randint(-5, 5) for _ in range(2000)]), poly([1, -2, 1])))
     cases.append((poly([1, -1]), poly([rng.randint(-(2**70), 2**70) for _ in range(500)])))
     return cases
 
 
 def _packed_width(a, b):
-    # the field width poly_mul packs at, or None when it sums the pairs of
-    # nonzero terms directly because there are no more of them than the
-    # product has coefficients
+    # the field width poly_mul packs at
     ta, tb = len(a.coeffs) - a.coeffs.count(0), len(b.coeffs) - b.coeffs.count(0)
-    if ta * tb <= len(a.coeffs) + len(b.coeffs) - 1:
-        return None
     return field_width(min(ta, tb) * poly_height(a) * poly_height(b))
 
 
@@ -131,23 +133,8 @@ def test_mul_matches_schoolbook_convolution():
         assert poly_mul(a, b) == _convolve(a.coeffs, b.coeffs), (a, b)
         if a and b:
             widths.add(_packed_width(a, b))
-    # both routes run, the packed one at every width step
-    assert {None, 8, 16, 32, 64, 128, 192} <= widths
-
-
-def test_mul_sparse_operands_skip_the_packing(monkeypatch):
-    # geometric series with coprime steps, as in staircase_multiple, have
-    # about a quarter as many pairs of terms as their product coefficients:
-    # packing them would pay for every zero field
-    def refuse(coeffs, bits):
-        raise RuntimeError("packed")
-
-    monkeypatch.setattr(intpoly, "_pack", refuse)
-    a, b = geometric_series(997, 500), geometric_series(1009, 495)
-    assert poly_mul(a, b) == _convolve(a.coeffs, b.coeffs)
-    assert poly_mul(monomial(1), PHI35) == poly((0,) + PHI35.coeffs)
-    with pytest.raises(RuntimeError):
-        poly_mul(PHI35, PHI35)
+    # the packed product runs at every width step
+    assert {8, 16, 32, 64, 128, 192} <= widths
 
 
 def test_codec_round_trips_field_edges():

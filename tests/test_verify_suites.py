@@ -4,8 +4,12 @@ from cycloforge import verify_suites
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import UnknownSuite
 from cycloforge.fjdecomp import BezoutSplit, FjFamily
-from cycloforge.intpoly import monomial, poly, poly_add
+from cycloforge.intpoly import poly, poly_add
 from cycloforge.verify_suites import SUITE_NAMES, PropertyResult, run_suite
+
+
+def monomial(k, c=1):
+    return poly((0,) * k + (c,))
 
 
 def test_unknown_suite_raises():
@@ -27,6 +31,35 @@ def test_binary_suite_small():
         "staircase-identity",
     ]
     assert all(isinstance(r, PropertyResult) and r.ok for r in results)
+
+
+@pytest.mark.parametrize(
+    "target, key, failing",
+    [
+        ("phi", (15,), {"flat-height": "(3, 5)", "sign-alternation": "(3, 5)"}),
+        (
+            "staircase_multiple",
+            (3, 5, 1),
+            {"explicit-form": "(3, 5)", "staircase-identity": "(3, 5, 1)"},
+        ),
+        ("staircase_multiple", (3, 5, 2), {"staircase-identity": "(3, 5, 2)"}),
+    ],
+    ids=["phi-15", "staircase-l1", "staircase-l2"],
+)
+def test_binary_suite_catches_forgeries(monkeypatch, target, key, failing):
+    # one corrupted coefficient of one input fails exactly the properties
+    # that read it, and each names that input
+    real = getattr(verify_suites, target)
+
+    def forged(*args):
+        f = real(*args)
+        return poly((f.coeffs[0] + 1,) + f.coeffs[1:]) if args == key else f
+
+    monkeypatch.setattr(verify_suites, target, forged)
+    results = run_suite("binary", max_value=300)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        prop: f"1 counterexamples, first: {bad}" for prop, bad in failing.items()
+    }
 
 
 def test_fj_suite_jobs_equivalence():
