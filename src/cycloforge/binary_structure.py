@@ -10,16 +10,15 @@ the four blocks that the explicit product formula reads off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import phi
 from .errors import LOutOfRange, NotCoprime
 from .intpoly import IntPolynomial, poly, poly_mod_monic
 
 
-@dataclass(frozen=True, slots=True)
-class StaircaseCorner:
+class StaircaseCorner(NamedTuple):
     """Corner of the level-l cut: p*mu + q*lam = p*q + l, with mu and lam
     allowed to reach q and p respectively."""
 

@@ -7,7 +7,9 @@ Exit codes: 0 on success, 1 on domain errors (one line on stderr),
 
 from __future__ import annotations
 
+import atexit
 import csv as _csv
+import gc
 import json as _json
 import os
 import sys
@@ -38,6 +40,9 @@ from .flatness import (
 from .intpoly import IntPolynomial, to_json_coeffs, to_text
 from .pseudocyclo import pseudo_factorization, pseudo_phi, pseudo_psi
 from .verify_suites import SUITE_NAMES, run_suite
+
+# teardown skips gc passes; safe as files close in with blocks and std streams flush after atexit
+atexit.register(gc.freeze)
 
 LARGE_N = 10**7
 

@@ -12,10 +12,9 @@ coefficient sets for two different primes relate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, prod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from ._numtheory import factorize, is_prime, totient
 from .binary_structure import mod_phi_reduce
@@ -39,8 +38,7 @@ from .intpoly import (
 from .pseudocyclo import pseudo_phi
 
 
-@dataclass(frozen=True, slots=True)
-class FjFamily:
+class FjFamily(NamedTuple):
     """The p residue-class members of the cyclotomic polynomial of n*p.
     The fj verify suite checks that there are p of them, that they
     reassemble the polynomial and that they keep their degree budgets."""
@@ -50,8 +48,7 @@ class FjFamily:
     members: tuple[IntPolynomial, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BezoutSplit:
+class BezoutSplit(NamedTuple):
     """Cofactor pair (a, b) with f = a*g + b*h, where f is the cyclotomic
     polynomial of n*p, g substitutes x^n into the p-th, and h substitutes
     x^p into the n-th. Minimal-degree solution, hence unique. The fj
@@ -179,8 +176,7 @@ class PeriodicityRelation(Enum):
     NotComparable = "not-comparable"
 
 
-@dataclass(frozen=True, slots=True)
-class PeriodicityComparison:
+class PeriodicityComparison(NamedTuple):
     """Observed relation between the coefficient sets for primes s and t
     (ground truth by direct computation), alongside what the congruence
     hypotheses predict (None when no statement applies)."""

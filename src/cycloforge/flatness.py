@@ -118,8 +118,7 @@ class VerdictStatus(Enum):
     TheoremSilent = "TheoremSilent"
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: VerdictStatus
     citation: str
     bound: int | None

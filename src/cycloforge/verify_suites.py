@@ -7,8 +7,8 @@ rows; the CLI renders one PASS/FAIL line per property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from ._numtheory import primes_up_to, totient
 from .binary_structure import staircase_multiple
@@ -78,8 +78,7 @@ EXPECTED_DROP_ROWS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PropertyResult:
+class PropertyResult(NamedTuple):
     suite: str
     prop: str
     ok: bool

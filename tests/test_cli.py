@@ -389,6 +389,38 @@ def test_scan_jobs_2_stdout_matches_jobs_1():
     assert one.stdout.count("\n") == 3
 
 
+def test_scan_files_are_whole_at_process_exit(tmp_path):
+    # the heap is frozen at exit, so what the journal, CSV and JSON files
+    # hold must already be written and closed by then
+    import shlex
+
+    j, c, x = (shlex.quote(str(tmp_path / name)) for name in ("J", "C", "X"))
+    args = f"scan --conjecture height_drop_p3 --bound 8000 --cache {j} --csv {c} --json {x}"
+    first = _cli_process(args)
+    assert (first.returncode, first.stderr) == (0, "")
+    assert first.stdout == (
+        "height_drop_p3: checked 1..8000, 2 counterexamples, complete\n"
+        "  A(4745)=3 drops to A(14235)=2\n"
+        "  A(7469)=4 drops to A(22407)=3\n"
+    )
+    report = json.loads((tmp_path / "X").read_text(encoding="utf-8"))
+    assert [rec["n"] for rec in report["counterexamples"]] == [4745, 7469]
+    assert (tmp_path / "C").read_text(encoding="utf-8").splitlines()[1:] == [
+        "1,4745->14235,3;2,A(4745)=3 drops to A(14235)=2",
+        "2,7469->22407,4;3,A(7469)=4 drops to A(22407)=3",
+    ]
+    journal = (tmp_path / "J").read_bytes()
+    again = _cli_process(args)
+    assert (again.returncode, again.stdout, again.stderr) == (0, first.stdout, "")
+    assert (tmp_path / "J").read_bytes() == journal
+
+
+def test_large_stdout_is_whole_at_process_exit():
+    # phi(255255) = 92160, so its coefficient line has 92161 fields
+    proc = _cli_process("phi --n 255255 | wc -w")
+    assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, "92161", "")
+
+
 def test_broken_pipe_exits_quietly():
     # 120KB into a pipe whose reader exits after 10 bytes. The writer may
     # be inside one large write() when head goes (short write, exit 0) or

@@ -1,8 +1,9 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
 memo is bounded, no constructor re-derives a polynomial or raises, every
-public function has a caller outside the tests, and no process-pool
-machinery is imported, by the source or by a parallel scan."""
+public function has a caller outside the tests, no process-pool
+machinery is imported, by the source or by a parallel scan, and the CLI
+freezes the heap at exit."""
 
 import ast
 import os
@@ -189,3 +190,18 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+def test_cli_import_freezes_the_heap_at_exit():
+    # atexit handlers run last-in first-out, so the probe registered before
+    # the import runs after the CLI's gc.freeze
+    script = (
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "import cycloforge.cli\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "True\n", "")

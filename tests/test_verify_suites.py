@@ -33,6 +33,14 @@ def test_binary_suite_small():
     assert all(isinstance(r, PropertyResult) and r.ok for r in results)
 
 
+def _bump_constant(f):
+    return poly((f.coeffs[0] + 1,) + f.coeffs[1:])
+
+
+def _flip_flatness(head):
+    return head._replace(height=2 if head.height == 1 else 1)
+
+
 @pytest.mark.parametrize(
     "target, key, failing",
     [
@@ -53,10 +61,39 @@ def test_binary_suite_catches_forgeries(monkeypatch, target, key, failing):
 
     def forged(*args):
         f = real(*args)
-        return poly((f.coeffs[0] + 1,) + f.coeffs[1:]) if args == key else f
+        return _bump_constant(f) if args == key else f
 
     monkeypatch.setattr(verify_suites, target, forged)
     results = run_suite("binary", max_value=300)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        prop: f"1 counterexamples, first: {bad}" for prop, bad in failing.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "target, key, forge, failing",
+    [
+        (
+            "pseudo_phi",
+            (3, 5, 7),
+            _bump_constant,
+            {"factorization-product": "(3, 5, 7)", "gcd-identity": "(3, 5, 7)"},
+        ),
+        ("signed_subset_head", (3, 5, 13), _flip_flatness, {"r2-biconditional": "(3, 5, 13)"}),
+    ],
+    ids=["pseudo-phi-105", "head-195"],
+)
+def test_pseudo_suite_catches_forgeries(monkeypatch, target, key, forge, failing):
+    # a corrupted expansion of one tuple, or a wrong height for one
+    # r = +/-2 (mod pq) triple, fails exactly the properties that read it
+    real = getattr(verify_suites, target)
+
+    def forged(parts):
+        f = real(parts)
+        return forge(f) if tuple(parts) == key else f
+
+    monkeypatch.setattr(verify_suites, target, forged)
+    results = run_suite("pseudo", max_value=300)
     assert {r.prop: r.info for r in results if not r.ok} == {
         prop: f"1 counterexamples, first: {bad}" for prop, bad in failing.items()
     }
