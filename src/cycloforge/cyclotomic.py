@@ -13,10 +13,11 @@ them against it.
 
 Those oracles work on plain coefficient lists. Multiplying or exactly
 dividing by x^d - 1 is linear time, which makes the inclusion-exclusion
-product and the sparse-series route quasi-linear in the degree; the
-sparse series also serves psi and the packed kernel's height bound. The
-gcd route's pseudo-remainders go through intpoly's one long-division
-loop.
+product and the sparse-series route quasi-linear in the degree. Every
+psi is the inclusion-exclusion cofactor, which also gives the packed
+kernel's height bound its sizes, so only the SparseSeries oracle reads
+the sparse memo. The gcd route's pseudo-remainders go through intpoly's
+one long-division loop.
 """
 
 from __future__ import annotations
@@ -183,9 +184,12 @@ def _height_bound(parts: tuple[int, ...], primes: bool, top: int) -> int:
 
 @lru_cache(maxsize=512)
 def _prefix_sizes(n: int) -> tuple[int, tuple[int, ...]]:
-    # A(phi_n) and the |[x^b]psi_n|, from the memoised sparse pair
-    phi_n, psi_n = _sparse_pair(n)
-    return max(map(abs, phi_n)), tuple(map(abs, psi_n))
+    # A(phi_n) off the packed head and the |[x^b]psi_n| off the cofactor,
+    # for odd n of two or more primes. The head's own bound recurses on
+    # fewer primes and ends at two, whose bound is 1.
+    primes = tuple(p for p, _ in nt.factorize(n))
+    psi_n = signed_subset_product(primes, cofactor=True).coeffs
+    return signed_subset_head(primes, primes=True).height, tuple(map(abs, psi_n))
 
 
 def _over_binomial(x: int, e: int, b: int, top: int, mask: int) -> int:
@@ -333,33 +337,18 @@ def _sparse_step(phi: tuple[int, ...], psi: tuple[int, ...], n: int, p: int) -> 
     return acc
 
 
-def _psi_step(phi: tuple[int, ...], psi: tuple[int, ...], p: int) -> list[int]:
-    # psi_np = psi_n(x^p) * phi_n(x)
-    lphi = len(phi)
-    psi_new = [0] * ((len(psi) - 1) * p + lphi)
-    for k, v in enumerate(psi):
-        if v == 0:
-            continue
-        off = k * p
-        seg = psi_new[off : off + lphi]
-        psi_new[off : off + lphi] = [u + v * w for u, w in zip(seg, phi)]
-    return psi_new
-
-
 @lru_cache(maxsize=512)
 def _sparse_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(phi_n, psi_n) coefficient tuples for squarefree n >= 2, one sparse
-    step up from the memoised pair of n without its top prime."""
-    p = nt.factorize(n)[-1][0]
-    if p == n:
-        return (1,) * p, (-1, 1)
-    phi, psi = _sparse_pair(n // p)
-    return tuple(_sparse_step(phi, psi, n // p, p)), tuple(_psi_step(phi, psi, p))
+    """(phi_n, psi_n) coefficient tuples for squarefree n >= 2: phi_n one
+    sparse step up from the memoised pair of n without its top prime,
+    psi_n the inclusion-exclusion cofactor."""
+    psi_n = signed_subset_product(tuple(p for p, _ in nt.factorize(n)), cofactor=True)
+    return tuple(_sparse_phi(n)), psi_n.coeffs
 
 
 def _sparse_phi(m: int) -> list[int]:
-    # phi_m for squarefree m >= 2. The top step is not memoised and builds
-    # no psi, so a one-off large m leaves neither behind.
+    # phi_m for squarefree m >= 2. The top step is not memoised, so a
+    # one-off large m leaves no pair behind.
     p = nt.factorize(m)[-1][0]
     if p == m:
         return [1] * p
@@ -470,7 +459,5 @@ def psi(n: int) -> IntPolynomial:
     m, k = radical_reduce(n)
     if m == 1:
         return IntPolynomial((1,))
-    # psi_p = x - 1 needs no p-term phi_p built and memoised, which for a
-    # large prime p would cost O(p) memory for a two-term answer
-    base = _X_MINUS_1 if nt.is_prime(m) else IntPolynomial(_sparse_pair(m)[1])
-    return substitute_power(base, k)
+    primes = tuple(p for p, _ in nt.factorize(m))
+    return substitute_power(signed_subset_product(primes, cofactor=True), k)

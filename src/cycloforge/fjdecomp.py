@@ -17,7 +17,6 @@ from math import gcd, prod
 from typing import Iterator, NamedTuple
 
 from ._numtheory import factorize, is_prime, totient
-from .binary_structure import mod_phi_reduce
 from .cyclotomic import coefficient_set, phi
 from .errors import (
     HypothesisViolated,
@@ -30,7 +29,9 @@ from .intpoly import (
     ZERO,
     IntPolynomial,
     extract_residue,
+    poly,
     poly_exact_div,
+    poly_mod_monic,
     poly_mul,
     poly_sub,
     substitute_power,
@@ -74,6 +75,19 @@ def _check_pair(n: int, p: int, least: int) -> None:
         raise ValueError(f"{p} is not prime")
     if n % p == 0:
         raise NotCoprimeIndex(f"{p} divides {n}")
+
+
+def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
+    """Unique representative of degree < deg phi(n) congruent to t. Since
+    x^n = 1 holds modulo phi(n), exponents fold mod n first, then one
+    monic remainder finishes. An input of degree below n skips the fold:
+    the remainder alone is cheaper there."""
+    if n < 2:
+        raise ValueError("modulus index must be at least 2")
+    coeffs = t.coeffs
+    if len(coeffs) > n:
+        coeffs = [sum(coeffs[r::n]) for r in range(n)]
+    return poly_mod_monic(poly(coeffs), phi(n))
 
 
 def bezout_split(n: int, p: int) -> BezoutSplit:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from math import prod
@@ -477,13 +476,11 @@ class HeightCache:
             fh.write(payload)
 
 
-@dataclass
-class ScanReport:
+class ScanReport(NamedTuple):
     conjecture: str
     range_checked: tuple[int, int]
     counterexamples: list[dict]
     elapsed: float
-    complete: bool
 
     def replay_ok(self) -> bool:
         return all(
@@ -497,7 +494,7 @@ class ScanReport:
             "range_checked": list(self.range_checked),
             "counterexamples": self.counterexamples,
             "elapsed": self.elapsed,
-            "complete": self.complete,
+            "complete": True,
         }
 
 
@@ -631,7 +628,7 @@ def scan(
         store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)
         hits.extend(chunk_hits)
     hits.sort(key=lambda rec: (rec["n"], rec.get("p", 0), rec["factors"]))
-    return ScanReport(conjecture, (1, bound), hits, time.monotonic() - t0, True)
+    return ScanReport(conjecture, (1, bound), hits, time.monotonic() - t0)
 
 
 def report_csv_rows(report: ScanReport) -> list[list[str]]:

@@ -449,7 +449,9 @@ def run_suite(
     smax: int | None = None,
     jobs: int = 1,
 ) -> list[PropertyResult]:
-    """Run one named suite and return its property results."""
+    """Run one named suite and return its property results. For pseudo,
+    max_value sets only the r2-biconditional range: factorization-product
+    and gcd-identity always cover the coprime tuples with n <= 1000."""
     if name == "binary":
         return _run_binary(max_value or 5000)
     if name == "fj":

@@ -10,12 +10,12 @@ from cycloforge.binary_structure import (
     StaircaseCorner,
     ldiagram_json,
     ldiagram_render,
-    mod_phi_reduce,
     staircase_corner,
     staircase_multiple,
 )
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import LOutOfRange, NotCoprime
+from cycloforge.fjdecomp import mod_phi_reduce
 from cycloforge.intpoly import geometric_series, poly, poly_height, poly_mod_monic, poly_mul
 from cycloforge.pseudocyclo import pseudo_phi
 

@@ -25,6 +25,7 @@ from cycloforge.cyclotomic import (
 )
 from cycloforge.domains import coprime_tuples
 from cycloforge.errors import RemainderNonzero
+from cycloforge.flatness import height_of, scan
 from cycloforge.intpoly import (
     coeff_set,
     long_divide,
@@ -366,37 +367,54 @@ def test_self_checks_survive_python_O():
     assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
 
 
-def test_sparse_builds_last_psi_only_when_kept(monkeypatch, cold_memos):
-    calls = []
-    real = cyclotomic._psi_step
-    monkeypatch.setattr(
-        cyclotomic, "_psi_step", lambda phi_, psi_, p: calls.append(p) or real(phi_, psi_, p)
-    )
+def test_sparse_builds_last_psi_only_when_kept(cold_memos):
+    # the sparse oracle memoises the (phi, psi) pair of each proper prefix
+    # of its prime chain, 3, 15 and 105 for 1155, never the top step
+    memo = cyclotomic._sparse_pair
     f = phi(1155, PhiAlgorithm.SparseSeries)
-    assert calls == [5, 7]  # the step to 1155 (p = 11) builds no psi
+    assert memo.cache_info()[1:] == (3, 512, 3)
     assert phi(1155, PhiAlgorithm.SparseSeries) == f
-    assert calls == [5, 7]  # the prefix 105 comes from the memo
+    assert memo.cache_info()[1:] == (3, 512, 3)
+    hits = memo.cache_info().hits
+    for n in (3, 15, 105):
+        memo(n)
+    assert memo.cache_info() == (hits + 3, 3, 512, 3)
+    # psi is the inclusion-exclusion cofactor and leaves the memo alone
     assert poly_mul(f, psi(1155)) == poly_sub(monomial(1155), poly([1]))
-    assert calls == [5, 7, 11]
+    assert memo.cache_info() == (hits + 3, 3, 512, 3)
+
+
+def test_default_routes_leave_the_sparse_memo_empty(cold_memos):
+    # only phi(..., SparseSeries) reads the sparse memo: default phi at
+    # orders 3-6, a scan's heads, a big-top-prime height and psi take
+    # their field widths and cofactors from inclusion-exclusion
+    for n in (105, 1155, 15015, 255255):
+        phi(n)
+    scan("pqrsallflat", 3000)
+    height_of((3, 5, 7, 28097))
+    psi(15015)
+    assert cyclotomic._prefix_sizes.cache_info().currsize > 0
+    assert cyclotomic._sparse_pair.cache_info().currsize == 0
 
 
 def _cold(f, n):
     cyclotomic._sparse_pair.cache_clear()
+    cyclotomic._prefix_sizes.cache_clear()
     cyclotomic._phi_default.cache_clear()
     return f(n)
 
 
 def test_cold_and_warm_memo_agree(cold_memos):
-    # orders 4-6, each with and without a factor 2, except that psi stops
-    # at order 5: psi(255255) alone takes seconds, and 510510 longer still
-    small = [*range(1, 800), 1155, 2310, 15015, 30030]
-    big = [255255]
-    cold = {n: _cold(phi, n) for n in small + big}
-    cold_psi = {n: _cold(psi, n) for n in small}
+    # orders 4-6, each with and without a factor 2, except that order 6
+    # stops at the odd 255255 (psi(510510) alone takes about 15 s) and
+    # skips the sparse series (its top step to 255255 takes 3 s)
+    ns = [*range(1, 800), 1155, 2310, 15015, 30030, 255255]
+    cold = {n: _cold(phi, n) for n in ns}
+    cold_psi = {n: _cold(psi, n) for n in ns}
     cyclotomic._phi_default.cache_clear()
-    for n in small + big:
+    for n in ns:
         assert phi(n) == cold[n], n
-        if n in cold_psi:
-            # the explicit sparse series, rebuilt on the prefixes psi left
+        assert psi(n) == cold_psi[n], n
+        if n < 255255:
+            # the explicit sparse series, on the prefixes the smaller n left
             assert phi(n, PhiAlgorithm.SparseSeries) == cold[n], n
-            assert psi(n) == cold_psi[n], n

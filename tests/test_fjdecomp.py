@@ -6,7 +6,6 @@ import pytest
 
 from cycloforge import cyclotomic, fjdecomp, flatness
 from cycloforge._numtheory import totient
-from cycloforge.binary_structure import mod_phi_reduce
 from cycloforge.cyclotomic import PhiAlgorithm, phi, psi
 from cycloforge.errors import (
     HypothesisViolated,
@@ -22,6 +21,7 @@ from cycloforge.fjdecomp import (
     fj_extended,
     fj_family,
     fstar_family,
+    mod_phi_reduce,
     periodicity_compare,
 )
 from cycloforge.intpoly import (

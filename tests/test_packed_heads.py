@@ -97,13 +97,22 @@ def test_widths_come_from_the_parts_and_cover_the_height(full):
         assert poly_height(signed_subset_product(parts)) <= bound < 1 << (b - 1), parts
 
 
+@pytest.fixture
+def cold_prefix_sizes():
+    # _prefix_sizes caches the heights of packed heads, so a test that
+    # patches field_width must leave none of its entries behind
+    cyclotomic._prefix_sizes.cache_clear()
+    yield
+    cyclotomic._prefix_sizes.cache_clear()
+
+
 def test_field_width_steps():
     assert [intpoly.field_width(v) for v in (0, 127, 128, 2**15, 2**31, 2**63, 2**64)] == [
         8, 8, 16, 32, 64, 128, 128
     ]
 
 
-def test_wider_than_64_bits_decodes(monkeypatch):
+def test_wider_than_64_bits_decodes(monkeypatch, cold_prefix_sizes):
     # four coprime parts take the generic bound past 64 bits; a forced
     # wider field must not change any head either
     f = signed_subset_product((8, 9, 25, 7))
@@ -114,7 +123,7 @@ def test_wider_than_64_bits_decodes(monkeypatch):
     assert head.height == 359
 
 
-def test_proved_width_is_load_bearing(monkeypatch):
+def test_proved_width_is_load_bearing(monkeypatch, cold_prefix_sizes):
     # one byte per field cannot hold 40755's coefficients: the wrapped head
     # fails a self-check or reads a different height
     monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 8)

@@ -33,8 +33,8 @@ def test_binary_suite_small():
     assert all(isinstance(r, PropertyResult) and r.ok for r in results)
 
 
-def _bump_constant(f):
-    return poly((f.coeffs[0] + 1,) + f.coeffs[1:])
+def _bump_constant(f, by=1):
+    return poly((f.coeffs[0] + by,) + f.coeffs[1:])
 
 
 def _flip_flatness(head):
@@ -96,6 +96,34 @@ def test_pseudo_suite_catches_forgeries(monkeypatch, target, key, forge, failing
     results = run_suite("pseudo", max_value=300)
     assert {r.prop: r.info for r in results if not r.ok} == {
         prop: f"1 counterexamples, first: {bad}" for prop, bad in failing.items()
+    }
+    # --max sets the r2 range only; the other two always cover n <= 1000
+    passed = {
+        "factorization-product": "2929 tuples, n <= 1000",
+        "gcd-identity": "2929 tuples, n <= 1000",
+        "r2-biconditional": "2 coprime triples with r=+/-2 (mod pq), n <= 300",
+    }
+    assert {r.prop: r.info for r in results if r.ok} == {
+        prop: info for prop, info in passed.items() if prop not in failing
+    }
+
+
+def test_classifier_suite_catches_a_forged_expansion(monkeypatch):
+    # the sparse expansion of the flat (3, 5, 31), r = 1 (mod pq) and r > pq,
+    # with its constant term raised by 10: each property reads it and names it
+    real = verify_suites.phi
+
+    def forged(n, alg=None):
+        f = real(n, alg)
+        return _bump_constant(f, 10) if n == 3 * 5 * 31 else f
+
+    monkeypatch.setattr(verify_suites, "phi", forged)
+    results = run_suite("classifier-soundness", max_value=3000)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        "definite-verdicts-match-brute": "1 counterexamples, first: (3, 5, 31, 11)",
+        "height-bounded-by-w": "1 counterexamples, first: (3, 5, 31, 11, 1)",
+        "bigtop-route-matches-expansion": "1 counterexamples, first: (3, 5, 31)",
+        "scan-heads-match-expansion": "1 counterexamples, first: (3, 5, 31)",
     }
 
 
