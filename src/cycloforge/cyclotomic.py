@@ -74,9 +74,10 @@ def _mul_xd_minus_1(c: list[int], d: int) -> list[int]:
     return out
 
 
-def _div_xd_minus_1(c: list[int], d: int) -> list[int]:
-    # c / (x^d - 1), exact: the quotient is -c times 1 + x^d + x^(2d) + ...
-    # as a power series, and past the quotient's degree the series vanishes.
+def div_xd_minus_1(c: Sequence[int], d: int) -> list[int]:
+    """The coefficient list c divided exactly by x^d - 1. The quotient is -c
+    times 1 + x^d + x^(2d) + ... as a power series, and past the quotient's
+    degree the series must vanish; else RemainderNonzero."""
     qlen = len(c) - d
     if qlen <= 0:
         if any(c):
@@ -122,7 +123,7 @@ def signed_subset_product(
     for d in sorted(plus, reverse=True):
         out = _mul_xd_minus_1(out, d)
     for d in sorted(minus):
-        out = _div_xd_minus_1(out, d)
+        out = div_xd_minus_1(out, d)
     return IntPolynomial(tuple(out))
 
 

@@ -4,10 +4,11 @@ Writing f for the cyclotomic polynomial of n*p, the exponents of f are
 split by their residue class mod p, giving p member polynomials, the
 j-th collecting the coefficients sitting at exponents congruent to j.
 The members satisfy a shift law in j, agree modulo phi(n) with the
-polynomials produced by the Bezout identity on the two obvious
+slices of a*g from the Bezout identity f = a*g + b*h on the two obvious
 cofactors of f, and for p > n the first n members already exhaust the
-coefficient set of f. A companion comparison classifies how the
-coefficient sets for two different primes relate.
+coefficient set of f. The split takes a from one reduction mod phi(n)
+and b from one exact division by x^n - 1. A companion comparison
+classifies how the coefficient sets for two different primes relate.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import gcd, prod
 from typing import Iterator, NamedTuple
 
 from ._numtheory import factorize, is_prime, totient
-from .cyclotomic import coefficient_set, phi
+from .cyclotomic import coefficient_set, div_xd_minus_1, phi, psi
 from .errors import (
     HypothesisViolated,
     IntegralityFailure,
@@ -30,7 +31,6 @@ from .intpoly import (
     IntPolynomial,
     extract_residue,
     poly,
-    poly_exact_div,
     poly_mod_monic,
     poly_mul,
     poly_sub,
@@ -53,7 +53,9 @@ class BezoutSplit(NamedTuple):
     """Cofactor pair (a, b) with f = a*g + b*h, where f is the cyclotomic
     polynomial of n*p, g substitutes x^n into the p-th, and h substitutes
     x^p into the n-th. Minimal-degree solution, hence unique. The fj
-    verify suite checks the degree bounds and the identity."""
+    verify suite checks the degree bounds, and the identity member by
+    member: slice j of f - a*g - b*h is member j - slice j of a*g - slice j
+    of b times phi(n)."""
 
     n: int
     p: int
@@ -93,7 +95,10 @@ def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
 def bezout_split(n: int, p: int) -> BezoutSplit:
     """Unique minimal-degree (a, b). Modulo phi(n) the g factor collapses
     to the constant p and the h factor to 0, so a is the remainder of f
-    by phi(n) scaled down by p; b then comes out by exact division."""
+    by phi(n) scaled down by p. Since p does not divide n, h = f*phi(n)
+    and g = f*psi(n)(x^p)/psi(n), so f - a*g = b*h gives
+    b = (psi(n) - a*psi(n)(x^p)) / (x^n - 1): one product and one linear
+    exact division, whose remainder check rejects a wrong a."""
     _check_pair(n, p, 2)
     f = phi(n * p)
     rem = mod_phi_reduce(f, n)
@@ -103,13 +108,13 @@ def bezout_split(n: int, p: int) -> BezoutSplit:
             raise IntegralityFailure(f"coefficient {c} not divisible by {p}")
         scaled.append(c // p)
     a = IntPolynomial(tuple(scaled))
-    g = substitute_power(phi(p), n)
-    h = substitute_power(phi(n), p)
+    cofactor = psi(n)
+    numerator = poly_sub(cofactor, poly_mul(a, substitute_power(cofactor, p)))
     try:
-        b = poly_exact_div(poly_sub(f, poly_mul(a, g)), h)
+        b = div_xd_minus_1(numerator.coeffs, n)
     except RemainderNonzero as exc:
         raise IntegralityFailure("cofactor division left a remainder") from exc
-    return BezoutSplit(n, p, a, b)
+    return BezoutSplit(n, p, a, IntPolynomial(b))
 
 
 def fj_family(n: int, p: int) -> FjFamily:

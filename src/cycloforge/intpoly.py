@@ -21,6 +21,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisionByZero, IndexOutOfRange, RemainderNonzero
@@ -28,7 +29,7 @@ from .errors import DivisionByZero, IndexOutOfRange, RemainderNonzero
 NEG_INF = float("-inf")
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
+def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
@@ -46,7 +47,7 @@ class IntPolynomial:
         if not isinstance(c, tuple):
             c = tuple(c)
         if c and c[-1] == 0:
-            c = _trim(list(c))
+            c = _trim(c)
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -96,16 +97,16 @@ def poly_add(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     if len(a.coeffs) < len(b.coeffs):
         a, b = b, a
     out = list(a.coeffs)
-    for i, c in enumerate(b.coeffs):
-        out[i] += c
-    return IntPolynomial(_trim(out))
+    k = len(b.coeffs)
+    out[:k] = map(add, out[:k], b.coeffs)
+    return IntPolynomial(out)
 
 
 def poly_sub(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     out = list(a.coeffs) + [0] * max(0, len(b.coeffs) - len(a.coeffs))
-    for i, c in enumerate(b.coeffs):
-        out[i] -= c
-    return IntPolynomial(_trim(out))
+    k = len(b.coeffs)
+    out[:k] = map(sub, out[:k], b.coeffs)
+    return IntPolynomial(out)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,7 @@ def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     q = long_divide(rem, b.coeffs)
     if any(rem[:db]):
         raise RemainderNonzero("nonzero remainder")
-    return IntPolynomial(_trim(q))
+    return IntPolynomial(q)
 
 
 def poly_mod_monic(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -247,7 +248,7 @@ def poly_mod_monic(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         return a
     rem = list(a.coeffs)
     long_divide(rem, bl)
-    return IntPolynomial(_trim(rem[:db]))
+    return IntPolynomial(rem[:db])
 
 
 def poly_height(a: IntPolynomial) -> int:
@@ -276,7 +277,7 @@ def extract_residue(a: IntPolynomial, m: int, j: int) -> IntPolynomial:
         raise IndexOutOfRange(f"modulus must be positive, got {m}")
     if not 0 <= j < m:
         raise IndexOutOfRange(f"residue index {j} outside [0, {m})")
-    return IntPolynomial(_trim(list(a.coeffs[j::m])))
+    return IntPolynomial(a.coeffs[j::m])
 
 
 def to_text(a: IntPolynomial) -> str:

@@ -16,6 +16,7 @@ from cycloforge.cyclotomic import (
     GCD_ALG_LIMIT,
     PhiAlgorithm,
     coefficient_set,
+    div_xd_minus_1,
     phi,
     poly_gcd_int,
     psi,
@@ -306,6 +307,16 @@ def test_series_accumulate_both_passes():
         cyclotomic._series_accumulate(got, d)
         want = [sum(base[j] for j in range(i % d, i + 1, d)) for i in range(len(base))]
         assert got == want, d
+
+
+def test_div_xd_minus_1_checks_its_remainder():
+    # (x + 2)(x^3 - 1) divides; a dividend below degree d and x^4 + 1 do not
+    assert div_xd_minus_1([-2, -1, 0, 2, 1], 3) == [2, 1]
+    assert div_xd_minus_1([], 3) == []
+    with pytest.raises(RemainderNonzero, match="degree too small"):
+        div_xd_minus_1([1], 3)
+    with pytest.raises(RemainderNonzero, match="does not divide"):
+        div_xd_minus_1([1, 0, 0, 0, 1], 3)
 
 
 # Broken versions of the packed kernel's step x / (1 - x^e): one that does

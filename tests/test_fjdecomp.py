@@ -5,10 +5,11 @@ from math import gcd, prod
 import pytest
 
 from cycloforge import cyclotomic, fjdecomp, flatness
-from cycloforge._numtheory import totient
+from cycloforge._numtheory import primes_up_to, totient
 from cycloforge.cyclotomic import PhiAlgorithm, phi, psi
 from cycloforge.errors import (
     HypothesisViolated,
+    IntegralityFailure,
     NotCoprimeIndex,
     RequiresLargeP,
 )
@@ -31,8 +32,10 @@ from cycloforge.intpoly import (
     extract_residue,
     poly,
     poly_add,
+    poly_exact_div,
     poly_mul,
     poly_mul_scalar,
+    poly_sub,
     substitute_power,
 )
 from cycloforge.pseudocyclo import pseudo_phi
@@ -81,7 +84,7 @@ def reduced(e: tuple, n: int) -> IntPolynomial:
 
 def split_invariants(fam):
     split = bezout_split(fam.n, fam.p)
-    check_fj_invariants(fam, split, poly_mul(split.a, split.g()))
+    check_fj_invariants(fam, split)
 
 
 def test_bezout_golden_3_2():
@@ -106,6 +109,36 @@ def test_bezout_identity_and_bounds_sampled():
         assert poly_add(poly_mul(s.a, s.g()), poly_mul(s.b, s.h())) == phi(n * p)
         assert not s.a or s.a.degree < totient(n)
         assert not s.b or s.b.degree < (n - totient(n)) * (p - 1)
+
+
+def test_bezout_b_matches_long_division_by_h():
+    # b comes from one linear division through psi(n); long division of
+    # f - a*g by h = phi(n)(x^p) is the independent slow path
+    pairs = 0
+    for n in range(2, 60):
+        for p in primes_up_to(61):
+            if n % p:
+                s = bezout_split(n, p)
+                want = poly_exact_div(poly_sub(phi(n * p), poly_mul(s.a, s.g())), s.h())
+                assert s.b == want, (n, p)
+                pairs += 1
+    assert pairs == 951
+
+
+@pytest.mark.parametrize(
+    "bump, message",
+    [(1, "not divisible by 7"), (7, "cofactor division left a remainder")],
+    ids=["remainder-not-divisible", "a-plus-one"],
+)
+def test_bezout_split_rejects_a_forged_remainder(monkeypatch, bump, message):
+    # a remainder that p does not divide has no a; a + 1 leaves a remainder
+    # in the division by x^n - 1
+    real = fjdecomp.mod_phi_reduce
+    monkeypatch.setattr(
+        fjdecomp, "mod_phi_reduce", lambda t, n: poly_add(real(t, n), poly([bump]))
+    )
+    with pytest.raises(IntegralityFailure, match=message):
+        bezout_split(15, 7)
 
 
 def test_bezout_split_rejects_bad_input():

@@ -170,36 +170,49 @@ def _forge_a(split, a):
 
 
 # phi(15) sliced mod 3 gives members 1 + x, -1 - x - x^2 and x + x^2; the
-# totient of 5 is 4, so every member's degree budget is 2 and a stays
-# below degree 4
+# totient of 5 is 4, so every member's degree budget is 2, a stays below
+# degree 4 and b below degree (5 - 4)(3 - 1) = 2. Each forgery names the
+# one property it fails and what that row reports. a + 1 leaves
+# f - a*g - b*h = -g = -(1 + x^5 + x^10), so member 0 breaks first; b + x
+# leaves -x*h, so member 1 does.
 FORGERIES = {
-    "swapped-members": (_swap_members, None, "do not reassemble"),
+    "swapped-members": (_swap_members, None, "family-invariants", "do not reassemble"),
     "member-over-budget": (
         lambda fam: _forge_members(fam, 1, [-1, -1, -1, 1]),
         None,
+        "family-invariants",
         "member 1 exceeds its degree budget",
     ),
     "member-0-constant": (
         lambda fam: _forge_members(fam, 0, [2, 1]),
         None,
+        "family-invariants",
         "member 0 must have constant term 1",
     ),
     "a-over-bound": (
         None,
         lambda split: _forge_a(split, poly_add(split.a, monomial(4))),
+        "family-invariants",
         "a breaks its degree bound",
     ),
     "a-breaks-identity": (
         None,
         lambda split: _forge_a(split, poly_add(split.a, monomial(0))),
-        "identity f = a*g + b*h fails",
+        "f-equals-g",
+        "(5, 3, 0)",
+    ),
+    "b-breaks-identity": (
+        None,
+        lambda split: split._replace(b=poly_add(split.b, monomial(1))),
+        "f-equals-g",
+        "(5, 3, 1)",
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FORGERIES))
 def test_fj_suite_catches_forgeries(monkeypatch, name):
-    forge_family, forge_split, message = FORGERIES[name]
+    forge_family, forge_split, failing, message = FORGERIES[name]
 
     def forged(real, forge):
         def build(n, p):
@@ -216,20 +229,23 @@ def test_fj_suite_catches_forgeries(monkeypatch, name):
     )
     results = run_suite("fj", max_value=6)
     assert [r.prop for r in results] == list(verify_suites.FJ_PROPERTIES)
-    first, *rest = results
-    assert not first.ok
-    assert first.info.startswith("1 counterexamples, first: (5, 3, ")
-    assert message in first.info
-    assert all(r.ok for r in rest)
+    for r in results:
+        if r.prop == failing:
+            assert not r.ok
+            assert r.info.startswith("1 counterexamples, first: (5, 3, ")
+            assert message in r.info
+        else:
+            assert r.ok, r
 
 
 @pytest.mark.parametrize("j, off_by_phi", [(2, False), (0, False), (6, False), (2, True)])
 def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, off_by_phi):
-    # One division checks every member of a pair at once; a member that
-    # breaks its congruence is still named, and one changed by a multiple
-    # of phi(n) still passes. The forged families skip the invariant check,
-    # which would flag them as not reassembling the polynomial first; its
-    # stand-in returns the forged members reassembled.
+    # One comparison of f with a*g + b*h checks every member of a pair at
+    # once, and names the member that breaks it, also when the member moved
+    # by a multiple of phi(n): b is fixed, so slice j of b stops being a
+    # witness. The forged families skip the invariant check, which would
+    # flag them as not reassembling the polynomial first; its stand-in
+    # returns the forged members reassembled.
     real = verify_suites.fj_family
 
     def forged(n, p):
@@ -237,7 +253,7 @@ def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, 
         extra = phi(n) if off_by_phi else monomial(0)
         return _forge_members(fam, j, poly_add(fam.members[j], extra).coeffs)
 
-    def reassembled(fam, split, ag):
+    def reassembled(fam, split):
         p = fam.p
         out = [0] * (p * max(len(m.coeffs) for m in fam.members))
         for k, m in enumerate(fam.members):
@@ -249,5 +265,4 @@ def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, 
     checked, fails = verify_suites._fj_check_chunk([(15, 7), (5, 17)])
     assert checked == 2
     assert fails["family-invariants"] == []
-    want = [] if off_by_phi else [(15, 7, j), (5, 17, j)]
-    assert fails["f-equals-g"] == want
+    assert fails["f-equals-g"] == [(15, 7, j), (5, 17, j)]
