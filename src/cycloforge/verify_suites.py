@@ -196,8 +196,14 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         # h = phi(n)(x^p), so slice j of f - a*g - b*h is
         # member_j - slice_j(a*g) - slice_j(b)*phi(n): the identity read at
         # exponents i = j (mod p) is member_j = slice_j(a*g) mod phi(n),
-        # with slice_j(b) as its witness
-        rebuilt = poly_add(poly_mul(split.a, split.g()), poly_mul(split.b, split.h()))
+        # with slice_j(b) as its witness. g = phi(p)(x^n) is p unit terms n
+        # apart and deg a < phi(n) < n (checked above), so a*g is p
+        # disjoint copies of a at stride n
+        a = split.a.coeffs
+        ag = [0] * (n * (p - 1) + len(a))
+        for k in range(0, n * p, n):
+            ag[k : k + len(a)] = a
+        rebuilt = poly_add(IntPolynomial(ag), poly_mul(split.b, split.h()))
         if rebuilt != f:
             diff = poly_sub(f, rebuilt).coeffs
             fails["f-equals-g"].append((n, p, min(i % p for i, c in enumerate(diff) if c)))

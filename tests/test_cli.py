@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cycloforge import cli
 from cycloforge.cli import main
 from cycloforge.fjdecomp import fstar_family
 from cycloforge.intpoly import to_text
@@ -155,9 +160,10 @@ def test_height_and_vset(runner):
 
 
 def test_intlist_usage_error(runner):
-    r = runner.invoke(main, ["height", "--factors", "3,five"])
-    assert r.exit_code == 2
-    assert "--factors" in r.stderr
+    for factors in ("3,five", "3,5,", ""):
+        r = runner.invoke(main, ["height", "--factors", factors])
+        assert r.exit_code == 2, factors
+        assert "--factors" in r.stderr
 
 
 def test_fj_member_lines(runner):
@@ -347,6 +353,128 @@ def test_stdout_determinism_and_timing(runner):
     t = runner.invoke(main, ["--timing", "phi", "--n", "2310", "--format", "json"])
     assert t.stdout == a.stdout
     assert t.stderr.startswith("timing: ")
+
+
+# `--help` of the group ("") and of every command, as the click-decorated
+# CLI printed it at 80 columns under the program name cycloforge
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "cli_help_golden.json").read_text(encoding="utf-8")
+)
+
+
+def test_help_golden_covers_every_command():
+    assert sorted(HELP_GOLDEN) == sorted(["", *cli.COMMANDS])
+
+
+@pytest.mark.parametrize("name", sorted(HELP_GOLDEN))
+def test_help_is_the_golden_bytes(runner, name):
+    args = [name, "--help"] if name else ["--help"]
+    r = runner.invoke(main, args, prog_name="cycloforge", terminal_width=80)
+    assert (r.exit_code, r.stdout, r.stderr) == (0, HELP_GOLDEN[name], "")
+
+
+def _values(opt):
+    # values the option's type takes, then values it refuses or that click
+    # reads differently from how they look
+    if opt.kind == cli.FLAG:
+        return [None], [None]
+    if opt.kind == cli.INT_LIST:
+        return ["3,5", "5,13,73", "2,9"], ["3,five", "7,", "-3,5", ""]
+    if opt.kind == cli.PATH:
+        return ["j.jsonl", "out.csv"], ["", "-"]
+    if isinstance(opt.kind, tuple):
+        return list(opt.kind), ["xml", "JSON", ""]
+    if opt.kind is int:
+        return ["0", "15", "105"], ["-3", "x", "1_0", " 7", "1.5", "--n"]
+    return ["notflat", "height_drop_p3"], ["-x", ""]
+
+
+JUNK = ["--help", "-h", "--n=5", "--bogus", "--timing", "--", "extra"]
+
+
+@st.composite
+def _argv(draw):
+    head = draw(st.sampled_from([[], [], ["--timing"], ["--timing", "--timing"], ["--help"]]))
+    name = draw(st.sampled_from([*cli.COMMANDS, "nosuch"]))
+    opts = cli.COMMANDS[name][1] if name in cli.COMMANDS else ()
+    pieces = []
+    for opt in opts:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 1, 1, 2]))):
+            good, bad = _values(opt)
+            value = draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
+            pieces.append([opt.flag] if value is None else [opt.flag, value])
+    if draw(st.integers(0, 5)) == 0:
+        pieces.append([draw(st.sampled_from(JUNK))])
+    tokens = [t for piece in draw(st.permutations(pieces)) for t in piece]
+    if tokens and draw(st.integers(0, 19)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return head + [name] + tokens
+
+
+def _click_params(argv):
+    # (timing, command, params) as click passes them to the callbacks, or
+    # None where click refuses the argv or prints help
+    group = cli._click_group()
+    seen = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group, "callback", lambda timing: seen.update(timing=timing))
+        for name, cmd in group.commands.items():
+            mp.setattr(cmd, "callback", lambda _name=name, **params: (_name, params))
+        try:
+            got = group.main(args=argv, prog_name="cycloforge", standalone_mode=False)
+        except click.ClickException:
+            return None
+    return None if not isinstance(got, tuple) else (seen["timing"], *got)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argv())
+def test_strict_parser_declines_or_agrees_with_click(argv):
+    parsed = cli._parse(list(argv))
+    if parsed is None:
+        return
+    fn, timing, params = parsed
+    want = _click_params(list(argv))
+    assert want is not None, argv
+    assert (timing, cli.COMMANDS[want[1]][0], params) == (want[0], fn, want[2])
+
+
+def test_strict_parser_accepts_well_formed_commands():
+    for argv in (
+        ["phi", "--n", "105"],
+        ["--timing", "phi", "--format", "json", "--n", "35", "--force"],
+        ["verify", "--suite", "periodicity", "--n", "15", "--n", "21", "--smax", "60"],
+        ["scan", "--conjecture", "notflat", "--bound", "200", "--no-cache"],
+        ["pseudo", "--parts", "2,9", "--inverse"],
+    ):
+        parsed = cli._parse(argv)
+        assert parsed is not None and parsed[2] == _click_params(argv)[2], argv
+    assert cli._parse(["verify", "--suite", "fj"])[2] == {
+        "suite": "fj", "max_value": None, "n_values": (), "smax": None, "jobs": 1
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["phi", "--n", "5", "--help"],
+        ["phi"],
+        ["phi", "--n", "x"],
+        ["phi", "--n", "-5"],
+        ["phi", "--n=5"],
+        ["phi", "--n", "5", "--n", "6"],
+        ["phi", "--n", "5", "--bogus"],
+        ["phi", "--n", "5", "extra"],
+        ["phi", "--n", "5", "--format", "xml"],
+        ["--timing", "--timing", "phi", "--n", "5"],
+        ["pseudo", "--parts", "2,9", "--inverse", "--factorization"],
+        ["nosuch"],
+    ],
+)
+def test_strict_parser_declines(argv):
+    assert cli._parse(argv) is None
 
 
 def _cli_process(args: str):

@@ -33,13 +33,14 @@ from cycloforge.intpoly import (
     poly,
     poly_add,
     poly_exact_div,
+    poly_mod_monic,
     poly_mul,
     poly_mul_scalar,
     poly_sub,
     substitute_power,
 )
 from cycloforge.pseudocyclo import pseudo_phi
-from cycloforge.verify_suites import check_fj_invariants
+from cycloforge.verify_suites import check_fj_invariants, run_suite
 
 
 def monomial(k, c=1):
@@ -317,6 +318,22 @@ def test_fstar_partial_sum_identity():
             assert fs[j].coeff(k) == total, (j, k)
 
 
+@pytest.mark.parametrize("n, p", [(4, 5), (9, 11), (12, 13), (18, 19), (50, 53)])
+def test_fstar_shifts_of_a_non_squarefree_index(monkeypatch, n, p):
+    # n has a square factor, so member 0 comes from the full polynomial of
+    # n*p rather than from f0_fast; each shift is x^j * member_0 mod phi(n)
+    def refuse(*args):
+        raise AssertionError("f0_fast serves squarefree n only")
+
+    monkeypatch.setattr(fjdecomp, "f0_fast", refuse)
+    member0 = extract_residue(phi(n * p), p, 0)
+    shifts = list(fjdecomp.fstar_shifts(n, p))
+    assert len(shifts) == n
+    for j, got in enumerate(shifts):
+        assert got == poly_mod_monic(poly_mul(monomial(j), member0), phi(n)), j
+        assert got.degree < totient(n)
+
+
 def test_fstar_rejects_small_p():
     with pytest.raises(RequiresLargeP):
         fstar_family(15, 13)
@@ -420,3 +437,55 @@ def test_periodicity_sets_do_not_come_from_the_shift_family(monkeypatch):
     r = periodicity_compare(15, 263, 293)
     assert r.observed == r.predicted == PeriodicityRelation.Equal
     assert r.vset_s == coeff_set(phi(15 * 263, PhiAlgorithm.SparseSeries))
+
+
+def _forge_sets(monkeypatch, forged):
+    # the coefficient sets of the indices in forged replaced, the rest computed
+    real = fjdecomp.coefficient_set
+    monkeypatch.setattr(
+        fjdecomp, "coefficient_set", lambda m: forged[m] if m in forged else real(m)
+    )
+
+
+@pytest.mark.parametrize(
+    "s, t, forged_index, message",
+    [
+        (17, 47, 15 * 47, "prediction Equal contradicted by direct computation"),
+        (13, 17, 15 * 17, "prediction Negated contradicted by direct computation"),
+        (2, 17, 15 * 2, "prediction Subset contradicted by direct computation"),
+    ],
+)
+def test_periodicity_compare_raises_on_a_contradicted_prediction(
+    monkeypatch, s, t, forged_index, message
+):
+    # n = 15 has threshold 15 - 8 = 7: (17, 47) predicts Equal, (13, 17)
+    # Negated, and (2, 17), with only t past the threshold, Subset; a set
+    # holding 7 fits none of them
+    _forge_sets(monkeypatch, {forged_index: frozenset({0, 7})})
+    with pytest.raises(RuntimeError) as exc:
+        periodicity_compare(15, s, t)
+    assert str(exc.value) == message
+
+
+def test_periodicity_compare_not_comparable(monkeypatch):
+    # with t = 2 below the threshold nothing is predicted, so a set that is
+    # neither equal, negated nor contained is reported, not raised
+    _forge_sets(monkeypatch, {15 * 17: frozenset({0, 7})})
+    r = periodicity_compare(15, 17, 2)
+    assert r.predicted is None
+    assert r.observed == PeriodicityRelation.NotComparable
+    assert (r.vset_s, r.vset_t) == (frozenset({0, 7}), frozenset({-1, 0, 1}))
+
+
+def test_periodicity_suite_reports_a_contradicted_prediction(monkeypatch):
+    # 47 = 2 (mod 15) meets 13 and 43 with the sign flipped and 17 without;
+    # every comparison against its forged set fails, in the suite's order
+    _forge_sets(monkeypatch, {15 * 47: frozenset({0, 7})})
+    rows = run_suite("periodicity", n_values=(15,), smax=60)
+    assert [r.prop for r in rows] == ["predicted-sign-holds", "below-threshold-subset"]
+    assert not rows[0].ok
+    assert rows[0].info == (
+        "3 counterexamples, first: "
+        "(15, 13, 47, 'prediction Negated contradicted by direct computation')"
+    )
+    assert rows[1].ok

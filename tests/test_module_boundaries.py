@@ -2,8 +2,8 @@
 module's private names, no self-check vanishes under python -O, every
 memo is bounded, no constructor re-derives a polynomial or raises, every
 public function has a caller outside the tests, no process-pool
-machinery is imported, by the source or by a parallel scan, and the CLI
-freezes the heap at exit."""
+machinery is imported, by the source or by a parallel scan, the CLI
+freezes the heap at exit, and only help and usage errors import click."""
 
 import ast
 import os
@@ -11,6 +11,8 @@ import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 import cycloforge
 
@@ -122,14 +124,6 @@ def _names(node):
             yield sub.name.rpartition(".")[2]
 
 
-def _is_click_command(node) -> bool:
-    # reached through its group, never by name
-    return any(
-        isinstance(deco, ast.Call) and getattr(deco.func, "attr", "") == "command"
-        for deco in node.decorator_list
-    )
-
-
 def test_every_public_function_has_a_caller():
     # a top-level public def or class must be named in the package or the
     # benchmark somewhere other than its own definition; tests do not count
@@ -144,7 +138,6 @@ def test_every_public_function_has_a_caller():
                 path.parent == PACKAGE
                 and isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 and not node.name.startswith("_")
-                and not _is_click_command(node)
             ):
                 public.append(where)
     found = [f"{module}: {name}" for module, name in public if not users[name] - {(module, name)}]
@@ -190,6 +183,35 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_click",
+    [
+        (["phi", "--n", "105"], 0, False),
+        (["verify", "--suite", "periodicity", "--n", "15", "--smax", "60"], 0, False),
+        (["scan", "--conjecture", "notflat", "--bound", "200", "--no-cache"], 0, False),
+        (["--help"], 0, True),
+        (["phi", "--n", "x"], 2, True),
+    ],
+)
+def test_cli_loads_click_only_for_help_and_usage_errors(tmp_path, argv, code, loads_click):
+    # a well-formed command runs off the strict parser; help text and usage
+    # errors are click's, so only they import it
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('click' in sys.modules, file=sys.stderr))\n"
+        "sys.argv[0] = 'cycloforge'\n"
+        "runpy.run_module('cycloforge.cli', run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert out.returncode == code, out.stderr
+    assert out.stderr.splitlines()[-1] == str(loads_click)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_import_freezes_the_heap_at_exit():
