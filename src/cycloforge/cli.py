@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import atexit
 import codecs
-import csv as _csv
 import gc
-import json as _json
 import os
 import sys
 import time
@@ -103,6 +101,12 @@ def echo(text: str, err: bool = False) -> None:
     stream.flush()
 
 
+def _echo_json(obj) -> None:
+    import json  # here, so commands that print no JSON skip it
+
+    echo(json.dumps(obj))
+
+
 def _convert(kind, text: str):
     # the value click's type for this kind gives; ValueError where it fails
     if kind == INT_LIST:
@@ -140,7 +144,9 @@ def _parse(argv: list[str]):
                 value = True
             else:
                 text = next(tokens)
-                if text.startswith("-"):
+                # click takes any next token as the value; only an int reads
+                # a dash-led one the same way, and _convert refuses "--p"
+                if text.startswith("-") and o.kind is not int:
                     return None
                 value = _convert(o.kind, text)
             given[o.name] = given.get(o.name, ()) + (value,)
@@ -294,7 +300,7 @@ def _emit_poly(body, fmt: str, extra: dict | None = None, offset: int = 0) -> No
             obj["offset"] = offset
         obj["degree"] = body.degree + offset if body.coeffs else None
         obj["coeffs"] = to_json_coeffs(body)
-        echo(_json.dumps(obj))
+        _echo_json(obj)
     else:
         echo(_pretty(offset, body.coeffs))
 
@@ -413,7 +419,7 @@ _Q = _Opt("--q", int, required=True, help="Coprime to p.")
 def _ldiagram_cmd(p, q, fmt):
     """Residue grid of a*p + b*q mod pq with the corner cut marked."""
     if fmt == "json":
-        echo(_json.dumps(ldiagram_json(p, q)))
+        _echo_json(ldiagram_json(p, q))
     else:
         echo(ldiagram_render(p, q))
 
@@ -438,7 +444,7 @@ def _staircase_cmd(p, q, l, fmt):
             "lambda": corner.lam,
             "coeffs": to_json_coeffs(f),
         }
-        echo(_json.dumps(obj))
+        _echo_json(obj)
         return
     echo(f"mu={corner.mu} lambda={corner.lam}")
     _emit_poly(f, fmt)
@@ -517,11 +523,15 @@ def _scan_cmd(conjecture, bound, jobs, cache_path, no_cache, csv_path, json_path
     for rec in report.counterexamples:
         echo(f"  {rec['verdict']}")
     if csv_path:
+        import csv
+
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            _csv.writer(fh).writerows(report_csv_rows(report))
+            csv.writer(fh).writerows(report_csv_rows(report))
     if json_path:
+        import json
+
         with open(json_path, "w", encoding="utf-8") as fh:
-            _json.dump(report.to_json(), fh, indent=2)
+            json.dump(report.to_json(), fh, indent=2)
             fh.write("\n")
 
 

@@ -9,7 +9,6 @@ violations (or hits, for existence questions).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from enum import Enum
@@ -416,6 +415,8 @@ class HeightCache:
     def _load(self) -> None:
         # Hits are grouped under the bound they were written with, so a
         # window finished under several bounds contributes one set of hits.
+        import json
+
         pending: dict[tuple, list[dict]] = {}
         with open(self.path, encoding="utf-8") as fh:
             for line in fh:
@@ -455,6 +456,8 @@ class HeightCache:
         self.hits[_chunk_key(tag, bound, lo, hi)] = hits
         if self.path is None:
             return
+        import json
+
         lines = [json.dumps(r) for r in fresh]
         lines += [
             json.dumps({"hit": h, "conjecture": tag, "bound": bound, "chunk": [lo, hi]})

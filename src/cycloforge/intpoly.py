@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
@@ -36,19 +35,34 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     """Immutable dense polynomial; index i of coeffs holds [x^i]."""
 
-    coeffs: tuple[int, ...] = ()
+    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        c = self.coeffs
-        if not isinstance(c, tuple):
-            c = tuple(c)
+    def __init__(self, coeffs: Iterable[int] = ()) -> None:
+        c = coeffs if isinstance(coeffs, tuple) else tuple(coeffs)
         if c and c[-1] == 0:
             c = _trim(c)
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __reduce__(self) -> tuple:
+        return IntPolynomial, (self.coeffs,)
 
     @property
     def degree(self) -> Union[int, float]:

@@ -385,7 +385,7 @@ def _values(opt):
     if isinstance(opt.kind, tuple):
         return list(opt.kind), ["xml", "JSON", ""]
     if opt.kind is int:
-        return ["0", "15", "105"], ["-3", "x", "1_0", " 7", "1.5", "--n"]
+        return ["0", "15", "105", "-3", "-16"], ["x", "1_0", " 7", "1.5", "--n", "-", "-x"]
     return ["notflat", "height_drop_p3"], ["-x", ""]
 
 
@@ -446,6 +446,8 @@ def test_strict_parser_accepts_well_formed_commands():
         ["verify", "--suite", "periodicity", "--n", "15", "--n", "21", "--smax", "60"],
         ["scan", "--conjecture", "notflat", "--bound", "200", "--no-cache"],
         ["pseudo", "--parts", "2,9", "--inverse"],
+        ["fstar", "--n", "15", "--p", "17", "--j", "-16"],
+        ["phi", "--n", "-5"],
     ):
         parsed = cli._parse(argv)
         assert parsed is not None and parsed[2] == _click_params(argv)[2], argv
@@ -462,7 +464,7 @@ def test_strict_parser_accepts_well_formed_commands():
         ["phi", "--n", "5", "--help"],
         ["phi"],
         ["phi", "--n", "x"],
-        ["phi", "--n", "-5"],
+        ["phi", "--n", "--force"],
         ["phi", "--n=5"],
         ["phi", "--n", "5", "--n", "6"],
         ["phi", "--n", "5", "--bogus"],

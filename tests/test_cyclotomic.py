@@ -353,6 +353,15 @@ def test_truncated_series_mirror_check(monkeypatch, cold_memos):
         phi(15)
 
 
+def test_gcd_route_self_check_fires(monkeypatch):
+    # twice phi is a gcd up to a unit of Q[x] but not the monic one
+    real = cyclotomic.generator_gcd
+    monkeypatch.setattr(cyclotomic, "generator_gcd", lambda parts: [2 * c for c in real(parts)])
+    for n in (7, 15, 105, 210):
+        with pytest.raises(RemainderNonzero, match="^gcd route produced a non-monic result$"):
+            phi(n, PhiAlgorithm.GcdOfSparse)
+
+
 def test_self_checks_survive_python_O():
     # the self-checks raise AssertionError themselves, so -O keeps them
     script = (

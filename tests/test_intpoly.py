@@ -4,6 +4,8 @@ Expected values below are frozen by hand (small products and quotients
 worked out independently) before the implementation was written.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -52,6 +54,47 @@ def test_trimming_and_degree():
     assert poly([5]).degree == 0
     assert PHI15.degree == 8
     assert NEG_INF < -(10**30)
+
+
+_TRAILING = st.tuples(
+    st.lists(st.integers(-(10**20), 10**20), max_size=8), st.integers(0, 3)
+).map(lambda t: t[0] + [0] * t[1])
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@given(_TRAILING, _TRAILING)
+def test_value_semantics(xs, ys):
+    want = _trimmed(xs)
+    built = [IntPolynomial(xs), IntPolynomial(tuple(xs)), IntPolynomial(c for c in xs)]
+    assert [type(p.coeffs) for p in built] == [tuple] * 3
+    assert [p.coeffs for p in built] == [want] * 3
+    p, q = built[0], IntPolynomial(ys)
+    assert {hash(b) for b in built} == {hash((want,))}
+    assert (p == q) == ((want,) == (_trimmed(ys),))
+    assert (p != q) == (not p == q)
+    assert p != want and want != p and p.__eq__(want) is NotImplemented
+    assert repr(p) == f"IntPolynomial({list(want)})"
+    for name in ("coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, ())
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+        assert type(twin) is IntPolynomial
+        assert twin == p and twin.coeffs == want
+
+
+def test_zero_and_one():
+    assert (ZERO.coeffs, ONE.coeffs) == ((), (1,))
+    assert (repr(ZERO), repr(ONE)) == ("IntPolynomial([])", "IntPolynomial([1])")
+    assert IntPolynomial() == ZERO and not ZERO and ONE
+    assert not hasattr(IntPolynomial((1,)), "__dict__")
 
 
 def test_add():

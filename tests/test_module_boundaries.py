@@ -3,13 +3,15 @@ module's private names, no self-check vanishes under python -O, every
 memo is bounded, no constructor re-derives a polynomial or raises, every
 public function has a caller outside the tests, no process-pool
 machinery is imported, by the source or by a parallel scan, the CLI
-freezes the heap at exit, and only help and usage errors import click."""
+freezes the heap at exit, and each command loads only the stdlib it
+runs: only help and usage errors import click."""
 
 import ast
 import os
 import subprocess
 import sys
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,9 @@ UNBOUNDED_MEMOS = {("domains.py", "_odd_primes_below_pow2")}
 # expansions and products a value type's constructor must not run; the
 # verify suites check the invariants that would need them
 DERIVING_CALLS = {"phi", "psi", "pseudo_phi", "poly_mul", "poly_exact_div", "factorize"}
+
+# the methods that build a value: a plain class's and a dataclass's
+CONSTRUCTORS = {"__init__", "__new__", "__post_init__"}
 
 
 def _modules():
@@ -86,7 +91,7 @@ def test_no_post_init_derives_a_polynomial():
             if not isinstance(cls, ast.ClassDef):
                 continue
             for fn in cls.body:
-                if not (isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"):
+                if not (isinstance(fn, ast.FunctionDef) and fn.name in CONSTRUCTORS):
                     continue
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call):
@@ -106,7 +111,7 @@ def test_no_post_init_raises():
         for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef)
         for fn in cls.body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+        if isinstance(fn, ast.FunctionDef) and fn.name in CONSTRUCTORS
         if any(isinstance(node, ast.Raise) for node in ast.walk(fn))
     ]
     assert found == []
@@ -185,6 +190,21 @@ def test_cli_import_loads_no_process_pool():
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
+# stdlib and third-party modules no well-formed command needs at start-up
+HEAVY_MODULES = ("dataclasses", "inspect", "json", "csv", "click")
+
+
+@lru_cache(maxsize=1)
+def _bare_modules():
+    # what the interpreter and site load before any code of ours runs
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return set(ast.literal_eval(out.stdout))
+
+
 @pytest.mark.parametrize(
     "argv, code, loads_click",
     [
@@ -193,25 +213,47 @@ def test_cli_import_loads_no_process_pool():
         (["scan", "--conjecture", "notflat", "--bound", "200", "--no-cache"], 0, False),
         (["--help"], 0, True),
         (["phi", "--n", "x"], 2, True),
+        (["height", "--factors", "3,5,7"], 0, False),
+        (["vset", "--factors", "3,5,7", "--multiplier", "3"], 0, False),
+        (["classify", "--factors", "3,5,7", "--brute"], 0, False),
+        (["bezout", "--n", "15", "--p", "7"], 0, False),
+        (["fj", "--n", "15", "--p", "7", "--j", "2"], 0, False),
+        (["fstar", "--n", "15", "--p", "17", "--j", "-16"], 0, False),
+        (["staircase", "--p", "3", "--q", "5", "--l", "3"], 0, False),
+        (["ldiagram", "--p", "5", "--q", "7"], 0, False),
+        (["scan", "--conjecture", "notflat", "--bound", "200", "--cache", "j.jsonl"], 0, False),
+        (["phi", "--n", "105", "--format", "json"], 0, False),
     ],
 )
 def test_cli_loads_click_only_for_help_and_usage_errors(tmp_path, argv, code, loads_click):
-    # a well-formed command runs off the strict parser; help text and usage
-    # errors are click's, so only they import it
+    # a well-formed command runs off the strict parser and loads none of
+    # HEAVY_MODULES beyond what a bare interpreter loads, except json where
+    # it reads or writes a journal or prints JSON; help text and usage
+    # errors are click's, so only they import it, and click brings its own
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    argv = [str(tmp_path / arg) if arg.endswith(".jsonl") else arg for arg in argv]
+    # the CLI as its console script runs it; sys.modules is printed at exit
     script = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print('click' in sys.modules, file=sys.stderr))\n"
+        "atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n"
         "sys.argv[0] = 'cycloforge'\n"
         "runpy.run_module('cycloforge.cli', run_name='__main__')\n"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=60,
     )
     assert out.returncode == code, out.stderr
-    assert out.stderr.splitlines()[-1] == str(loads_click)
-    assert os.listdir(tmp_path) == []
+    loaded = set(ast.literal_eval(out.stderr.splitlines()[-1]))
+    if loads_click:
+        assert "click" in loaded
+    else:
+        expected = {"json"} if "--cache" in argv or "json" in argv else set()
+        assert expected <= loaded
+        assert {m for m in HEAVY_MODULES if m in loaded - _bare_modules()} <= expected
+    assert os.listdir(cwd) == []
 
 
 def test_cli_import_freezes_the_heap_at_exit():
