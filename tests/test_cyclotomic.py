@@ -269,8 +269,10 @@ def test_phi_head_matches_full_expansion(cold_memos):
 
 def test_coefficient_set_matches_full_expansion(cold_memos):
     # the set read off the packed head against the sparse series, for every
-    # m <= 1000: even m, square parts, phi(1) and phi(2) included
-    for m in range(1, 1001):
+    # m <= 1000: even m, square parts, phi(1) and phi(2) included; then
+    # even and odd n of order 4 and 5, and 40755 = 3*5*11*13*19, whose
+    # height 359 takes the head past one byte per field
+    for m in [*range(1, 1001), 15015, 2 * 15015, 4 * 3 * 5 * 7 * 11, 40755, 2 * 40755]:
         assert coefficient_set(m) == coeff_set(phi(m, PhiAlgorithm.SparseSeries)), m
     assert coefficient_set(1) == {-1, 0, 1} and coefficient_set(4) == {0, 1}
     with pytest.raises(ValueError):

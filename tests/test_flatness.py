@@ -545,6 +545,39 @@ def test_report_csv_and_json():
     assert back["complete"] is True
 
 
+@pytest.mark.parametrize(
+    "tag, forged, label",
+    [("notflat", (5, 7, 11), "385"), ("pseudonotflat", (5, 7, 9), "(5,7,9)")],
+)
+def test_scan_hit_is_reported_journalled_and_labelled(monkeypatch, tmp_path, tag, forged, label):
+    # no tested range holds a counterexample, so one triple off the
+    # congruences is forged flat (its height is 3 or 2); the hit must reach
+    # the report, the journal and the CSV, and replay must catch it
+    real = flatness.height_record
+
+    def record(factors, pseudo):
+        rec = real(factors, pseudo)
+        return {**rec, "height": 1} if tuple(factors) == forged else rec
+
+    monkeypatch.setattr(flatness, "height_record", record)
+    journal = tmp_path / "scan.jsonl"
+    rep = scan(tag, 400, cache=str(journal))
+    hit = {
+        "n": prod(forged),
+        "factors": list(forged),
+        "heights": [1],
+        "verdict": "flat without q=+/-1 (mod p) or r=+/-1 (mod pq)",
+    }
+    assert rep.counterexamples == [hit]
+    lines = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [obj for obj in lines if "hit" in obj] == [
+        {"hit": hit, "conjecture": tag, "bound": 400, "chunk": [1, 400]}
+    ]
+    assert HeightCache(str(journal)).hits == {(tag, 1, 400): [hit]}
+    assert report_csv_rows(rep)[1:] == [["1", label, "1", hit["verdict"]]]
+    assert not rep.replay_ok()
+
+
 def test_scan_reuses_windows_of_a_smaller_bound(monkeypatch, tmp_path):
     computed = []
     real = flatness._scan_chunk

@@ -2,10 +2,12 @@
 against full expansions by the list kernels, and the field widths it takes
 from proved height bounds."""
 
+from array import array
 from itertools import permutations
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycloforge import cyclotomic, intpoly
 from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
@@ -76,6 +78,25 @@ def test_packed_pseudo_heads_match_full_expansion():
         head = signed_subset_head(parts)
         assert (head.height, {0, *head.coeffs}) == (poly_height(f), coeff_set(f)), parts
     assert any(2 in parts for parts in tuples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((0, 1, 2, 3, 7, 8, 31, 127)).flatmap(
+        lambda h: st.lists(st.integers(-h, h), min_size=1, max_size=400)
+    ),
+    st.integers(0, 3),
+)
+def test_byte_decode_matches_per_coefficient_pass(cs, low):
+    # height, value at 1 and set read by byte scans against a pass over
+    # every coefficient, on both sides of the counting crossover; then
+    # with c = -128, byte 0, which no band drops, put in low times
+    height = max(map(abs, cs))
+    assert cyclotomic._byte_scan(bytes(c + 128 for c in cs)) == (height, sum(cs))
+    assert sorted(cyclotomic._head_values(array("b", cs), height)) == sorted(set(cs))
+    cs = [-128] * low + cs[::2] + [-128] * low + cs[1::2]
+    want = (max(map(abs, cs)), sum(cs))
+    assert cyclotomic._byte_scan(bytes(c + 128 for c in cs)) == want
 
 
 def test_widths_come_from_the_parts_and_cover_the_height(full):
