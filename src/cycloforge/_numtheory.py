@@ -76,14 +76,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n; radical(1) = 1."""
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 def totient(n: int) -> int:
     """Euler's totient."""
     t = n

@@ -1,8 +1,8 @@
 """Cyclotomic polynomials: one default route and four independent oracles.
 
 phi(n) returns the n-th cyclotomic polynomial, psi(n) its cofactor in
-x^n - 1. Every route first reduces to the squarefree radical m of n (the
-polynomial for n is the one for m evaluated at x^(n/m)).
+x^n - 1. Every route first reduces to the primes of the squarefree radical
+m of n (the polynomial for n is the one for m evaluated at x^(n/m)).
 
 phi_m for m >= 2 and every inclusion-exclusion product are palindromic,
 so the default phi, like pseudo_phi, is the lower half from one packed
@@ -11,13 +11,13 @@ intpoly), followed by its mirror image. The four explicit algorithms
 must agree with it exactly; the test suite and the verify suites diff
 them against it.
 
-Those oracles work on plain coefficient lists. Multiplying or exactly
-dividing by x^d - 1 is linear time, which makes the inclusion-exclusion
-product and the sparse-series route quasi-linear in the degree. Every
-psi is the inclusion-exclusion cofactor, which also gives the packed
-kernel's height bound its sizes, so only the SparseSeries oracle reads
-the sparse memo. The gcd route's pseudo-remainders go through intpoly's
-one long-division loop.
+Those oracles are plain functions of the radical's primes, with no memo,
+on plain coefficient lists. Multiplying or exactly dividing by x^d - 1 is
+linear time, which makes the inclusion-exclusion product and the
+sparse-series route quasi-linear in the degree. Every psi, the one each
+sparse step reads included, is the inclusion-exclusion cofactor, which
+also gives the packed kernel's height bound its sizes. The gcd route's
+pseudo-remainders go through intpoly's one long-division loop.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ class PhiAlgorithm(Enum):
 GCD_ALG_LIMIT = 5000
 
 
-def radical_reduce(n: int) -> tuple[int, int]:
-    """(m, k) with m the radical of n and k = n/m."""
+def _radical_primes(n: int) -> tuple[tuple[int, ...], int]:
+    # the ascending primes of the radical m of n, and k = n/m
     if n < 1:
         raise ValueError("n must be positive")
-    m = nt.radical(n)
-    return m, n // m
+    primes = tuple(p for p, _ in nt.factorize(n))
+    return primes, n // prod(primes)
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +177,17 @@ def _height_bound(parts: tuple[int, ...], primes: bool, top: int) -> int:
     if len(odd) <= 2:
         return 1
     s, n = odd[-1], prod(odd[:-1])
-    height_n, abs_psi = _prefix_sizes(n)
+    height_n, abs_psi = _prefix_sizes(tuple(odd[:-1]))
     c = max(abs_psi) if s >= len(abs_psi) else max(sum(abs_psi[t::s]) for t in range(s))
     bound = ((top - 1) // n + 1) * height_n * c
     return min(bound, odd[0] - 1) if len(odd) == 3 else bound
 
 
 @lru_cache(maxsize=512)
-def _prefix_sizes(n: int) -> tuple[int, tuple[int, ...]]:
+def _prefix_sizes(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     # A(phi_n) off the packed head and the |[x^b]psi_n| off the cofactor,
-    # for odd n of two or more primes. The head's own bound recurses on
-    # fewer primes and ends at two, whose bound is 1.
-    primes = tuple(p for p, _ in nt.factorize(n))
+    # for n the product of two or more ascending odd primes. The head's own
+    # bound recurses on fewer primes and ends at two, whose bound is 1.
     psi_n = signed_subset_product(primes, cofactor=True).coeffs
     return signed_subset_head(primes, primes=True).height, tuple(map(abs, psi_n))
 
@@ -314,9 +313,7 @@ def coefficient_set(n: int) -> frozenset[int]:
     coefficients apart with zeros, and with an odd prime the degree is
     even, so exponents i and deg - i share parity as well as coefficient.
     An even n negates the odd exponents, since phi(2m)(x) = phi(m)(-x)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    odd = tuple(p for p, _ in nt.factorize(n) if p != 2)
+    odd = tuple(p for p in _radical_primes(n)[0] if p != 2)
     even = n % 2 == 0
     if not odd:
         return frozenset((0, 1) if even else (-1, 0, 1))
@@ -327,23 +324,19 @@ def coefficient_set(n: int) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# the four algorithms (each takes the squarefree radical m >= 2)
+# the three list-level oracles beside the inclusion-exclusion product (each
+# takes the radical's ascending primes, at least one)
 
 
-def _phi_mobius(m: int) -> IntPolynomial:
-    return signed_subset_product(tuple(p for p, _ in nt.factorize(m)))
-
-
-def _phi_recursive(m: int) -> IntPolynomial:
+def _phi_recursive(primes: tuple[int, ...]) -> IntPolynomial:
     # grow an ascending prime chain, dividing phi(x^p) by phi at each step
-    primes = [p for p, _ in nt.factorize(m)]
     cur = geometric_series(1, primes[0])
     for p in primes[1:]:
         cur = poly_exact_div(substitute_power(cur, p), cur)
     return cur
 
 
-def _sparse_step(phi: tuple[int, ...], psi: tuple[int, ...], n: int, p: int) -> list[int]:
+def _sparse_step(phi: Sequence[int], psi: Sequence[int], n: int, p: int) -> list[int]:
     # phi_np agrees with -psi_n(x) * phi_n(x^p) * (1 + x^n + x^(2n) + ...)
     # through degree phi(n)(p-1)
     top = (len(phi) - 1) * (p - 1)
@@ -364,23 +357,13 @@ def _sparse_step(phi: tuple[int, ...], psi: tuple[int, ...], n: int, p: int) -> 
     return acc
 
 
-@lru_cache(maxsize=512)
-def _sparse_pair(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(phi_n, psi_n) coefficient tuples for squarefree n >= 2: phi_n one
-    sparse step up from the memoised pair of n without its top prime,
-    psi_n the inclusion-exclusion cofactor."""
-    psi_n = signed_subset_product(tuple(p for p, _ in nt.factorize(n)), cofactor=True)
-    return tuple(_sparse_phi(n)), psi_n.coeffs
-
-
-def _sparse_phi(m: int) -> list[int]:
-    # phi_m for squarefree m >= 2. The top step is not memoised, so a
-    # one-off large m leaves no pair behind.
-    p = nt.factorize(m)[-1][0]
-    if p == m:
-        return [1] * p
-    phi, psi = _sparse_pair(m // p)
-    return _sparse_step(phi, psi, m // p, p)
+def _sparse_phi(primes: tuple[int, ...]) -> list[int]:
+    # one sparse step per prime up the chain, each psi the cofactor
+    rest, top = primes[:-1], primes[-1]
+    if not rest:
+        return [1] * top
+    psi = signed_subset_product(rest, cofactor=True).coeffs
+    return _sparse_step(_sparse_phi(rest), psi, prod(rest), top)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +412,10 @@ def generator_gcd(parts: Sequence[int]) -> list[int]:
     return reduce(poly_gcd_int, [list(geometric_series(m // p, p).coeffs) for p in parts])
 
 
-def _phi_gcd(m: int, n: int) -> IntPolynomial:
+def _phi_gcd(primes: tuple[int, ...], n: int) -> IntPolynomial:
     if n > GCD_ALG_LIMIT:
         raise ValueError(f"GcdOfSparse is limited to n <= {GCD_ALG_LIMIT}")
-    cur = generator_gcd([p for p, _ in nt.factorize(m)])
+    cur = generator_gcd(primes)
     if cur[-1] != 1:
         raise RemainderNonzero("gcd route produced a non-monic result")
     return IntPolynomial(tuple(cur))
@@ -446,10 +429,9 @@ _X_MINUS_1 = IntPolynomial((-1, 1))
 
 @lru_cache(maxsize=512)
 def _phi_default(n: int) -> IntPolynomial:
-    m, k = radical_reduce(n)
-    if m == 1:
+    primes, k = _radical_primes(n)
+    if not primes:
         return _X_MINUS_1
-    primes = tuple(p for p, _ in nt.factorize(m))
     return substitute_power(head_and_mirror(primes, primes=True), k)
 
 
@@ -459,23 +441,22 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     With alg=None the cached default is used: the packed head of the
     inclusion-exclusion product over the radical's primes, followed by its
     mirror image (head_and_mirror). Passing an explicit algorithm always
-    recomputes, so differential tests and the verify suites compare
-    genuinely independent code paths; an explicit SparseSeries recomputes
-    the top step but may reuse memoised prefixes.
+    recomputes from the radical's primes, with no memo, so differential
+    tests and the verify suites compare genuinely independent code paths.
     """
     if alg is None:
         return _phi_default(n)
-    m, k = radical_reduce(n)
-    if m == 1:
+    primes, k = _radical_primes(n)
+    if not primes:
         return _X_MINUS_1
     if alg is PhiAlgorithm.MobiusProduct:
-        base = _phi_mobius(m)
+        base = signed_subset_product(primes)
     elif alg is PhiAlgorithm.RecursiveQuotient:
-        base = _phi_recursive(m)
+        base = _phi_recursive(primes)
     elif alg is PhiAlgorithm.SparseSeries:
-        base = IntPolynomial(_sparse_phi(m))
+        base = IntPolynomial(_sparse_phi(primes))
     elif alg is PhiAlgorithm.GcdOfSparse:
-        base = _phi_gcd(m, n)
+        base = _phi_gcd(primes, n)
     else:
         raise ValueError(f"unknown algorithm {alg!r}")
     return substitute_power(base, k)
@@ -483,8 +464,7 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
 
 def psi(n: int) -> IntPolynomial:
     """The cofactor of phi(n) in x^n - 1 (monic, degree n - totient(n))."""
-    m, k = radical_reduce(n)
-    if m == 1:
+    primes, k = _radical_primes(n)
+    if not primes:
         return IntPolynomial((1,))
-    primes = tuple(p for p, _ in nt.factorize(m))
     return substitute_power(signed_subset_product(primes, cofactor=True), k)

@@ -415,11 +415,13 @@ class HeightCache:
     def _load(self) -> None:
         # Hits are grouped under the bound they were written with, so a
         # window finished under several bounds contributes one set of hits.
+        # A line that parses but is no entry is an error, not skipped: a
+        # dropped hit under an intact chunk_done would lose that hit.
         import json
 
         pending: dict[tuple, list[dict]] = {}
         with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
@@ -427,16 +429,21 @@ class HeightCache:
                     obj = json.loads(line)
                 except ValueError:
                     continue  # torn tail line after a crash
-                if "chunk_done" in obj:
-                    lo, hi = obj["chunk_done"]
-                    key = _chunk_key(obj["conjecture"], obj["bound"], lo, hi)
-                    self.hits[key] = pending.pop((obj["conjecture"], obj["bound"], lo, hi), [])
-                elif "hit" in obj:
-                    lo, hi = obj["chunk"]
-                    key = (obj["conjecture"], obj["bound"], lo, hi)
-                    pending.setdefault(key, []).append(obj["hit"])
-                elif "n" in obj:
-                    self.heights[tuple(obj["factors"])] = obj
+                try:
+                    if "chunk_done" in obj:
+                        lo, hi = obj["chunk_done"]
+                        key = _chunk_key(obj["conjecture"], obj["bound"], lo, hi)
+                        self.hits[key] = pending.pop((obj["conjecture"], obj["bound"], lo, hi), [])
+                    elif "hit" in obj:
+                        lo, hi = obj["chunk"]
+                        key = (obj["conjecture"], obj["bound"], lo, hi)
+                        pending.setdefault(key, []).append(obj["hit"])
+                    elif "n" in obj:
+                        self.heights[tuple(obj["factors"])] = obj
+                    else:
+                        raise KeyError(line)
+                except (KeyError, TypeError, ValueError):
+                    raise ValueError(f"{self.path}, line {number}: not a journal entry") from None
 
     def writable(self) -> bool:
         if self.path is None:

@@ -208,12 +208,10 @@ def long_divide(rem: list[int], bl: Sequence[int]) -> list[int]:
     leaving the remainder in rem[:len(bl) - 1], and return the quotient.
     Raises RemainderNonzero when the divisor's leading coefficient does not
     divide a term."""
-    # dense divisors update by slices, sparse ones by their nonzero pairs
+    # only the divisor's nonzero lower terms update rem, dense divisor or not
     db = len(bl) - 1
     blead = bl[-1]
-    lower = bl[:db]
-    dense = db and (db - lower.count(0)) * 3 >= db
-    pairs = () if dense else [(j, v) for j, v in enumerate(lower) if v]
+    pairs = [(j, v) for j, v in enumerate(bl[:db]) if v]
     q = [0] * max(0, len(rem) - db)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + db]
@@ -225,12 +223,8 @@ def long_divide(rem: list[int], bl: Sequence[int]) -> list[int]:
             c //= blead
         q[i] = c
         rem[i + db] = 0
-        if dense:
-            seg = rem[i : i + db]
-            rem[i : i + db] = [u - c * v for u, v in zip(seg, lower)]
-        else:
-            for j, v in pairs:
-                rem[i + j] -= c * v
+        for j, v in pairs:
+            rem[i + j] -= c * v
     return q
 
 

@@ -11,6 +11,7 @@ from cycloforge import cli
 from cycloforge.cli import main
 from cycloforge.fjdecomp import fstar_family
 from cycloforge.intpoly import to_text
+from cycloforge.verify_suites import PropertyResult
 
 PRETTY_35 = (
     "x²⁴ - x²³ + x¹⁹ - x¹⁸ + x¹⁷ - x¹⁶ + x¹⁴ - x¹³ + x¹² - x¹¹ + x¹⁰"
@@ -274,6 +275,19 @@ def test_verify_binary_small(runner):
     assert r.exit_code == 0
     assert "FAIL" not in r.stdout
     assert "PASS binary/flat-height" in r.stdout
+
+
+def test_verify_exits_1_on_a_failing_property(runner, monkeypatch):
+    rows = [
+        PropertyResult("fj", "members", True, "ok"),
+        PropertyResult("fj", "f-equals-g", False, "1 counterexamples, first: forged"),
+    ]
+    monkeypatch.setattr(cli, "run_suite", lambda suite, **kwargs: rows)
+    r = runner.invoke(main, ["verify", "--suite", "fj"])
+    assert r.exit_code == 1
+    assert r.stdout == (
+        "PASS fj/members: ok\nFAIL fj/f-equals-g: 1 counterexamples, first: forged\n"
+    )
 
 
 def test_verify_classifier_soundness_small(runner):

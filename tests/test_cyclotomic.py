@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloforge import cyclotomic
-from cycloforge._numtheory import factorize, is_prime, primes_up_to, radical, totient
+from cycloforge._numtheory import factorize, is_prime, primes_up_to, totient
 from cycloforge.cyclotomic import (
     GCD_ALG_LIMIT,
     PhiAlgorithm,
@@ -20,7 +20,6 @@ from cycloforge.cyclotomic import (
     phi,
     poly_gcd_int,
     psi,
-    radical_reduce,
     signed_subset_head,
     signed_subset_product,
 )
@@ -33,14 +32,9 @@ from cycloforge.intpoly import (
     poly,
     poly_height,
     poly_mul,
-    poly_sub,
     substitute_power,
 )
 from cycloforge.pseudocyclo import pseudo_phi
-
-
-def monomial(k, c=1):
-    return poly((0,) * k + (c,))
 
 
 def _at_neg_x(a):
@@ -57,8 +51,7 @@ ALL_ALGS = list(PhiAlgorithm)
 
 def test_cyclo_index():
     assert factorize(60) == ((2, 2), (3, 1), (5, 1))
-    assert radical(60) == 30
-    assert radical(1) == 1
+    assert factorize(1) == ()
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -73,10 +66,17 @@ def test_is_prime_matches_the_sieve():
 
 
 def test_radical_reduce():
-    assert radical_reduce(12) == (6, 2)
-    assert radical_reduce(105) == (105, 1)
-    assert radical_reduce(1) == (1, 1)
-    assert radical_reduce(8) == (2, 4)
+    # every route computes phi(n) as phi of the radical m at x^(n/m)
+    for alg in (None, *ALL_ALGS):
+        assert phi(12, alg) == substitute_power(phi(6, alg), 2)
+        assert phi(8, alg) == substitute_power(phi(2, alg), 4)
+        assert phi(315, alg) == substitute_power(phi(105, alg), 3)
+        assert phi(60, alg) == substitute_power(phi(30, alg), 2)
+        assert phi(1, alg) == poly([-1, 1])
+        with pytest.raises(ValueError, match="n must be positive"):
+            phi(0, alg)
+    assert psi(12) == substitute_power(psi(6), 2)
+    assert psi(1) == poly([1])
 
 
 def test_phi_small_golden():
@@ -118,6 +118,9 @@ def test_four_algorithms_agree_sample():
         results = {alg: phi(n, alg) for alg in ALL_ALGS}
         vals = list(results.values())
         assert all(v == vals[0] for v in vals), n
+    # a name is none of the four
+    with pytest.raises(ValueError, match="unknown algorithm 'sparse'"):
+        phi(5, "sparse")
 
 
 def test_mobius_matches_sparse_grid():
@@ -246,9 +249,9 @@ def test_default_matches_mobius(n):
 
 @pytest.fixture
 def cold_memos():
-    # the default-phi, sparse-chain and coefficient-set memos start empty,
-    # and a test that breaks a kernel leaves no wrong entry in them for the tests after
-    memos = (cyclotomic._phi_default, cyclotomic._sparse_pair, cyclotomic.coefficient_set)
+    # the default-phi and coefficient-set memos start empty, and a test that
+    # breaks a kernel leaves no wrong entry in them for the tests after
+    memos = (cyclotomic._phi_default, cyclotomic.coefficient_set)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -389,38 +392,26 @@ def test_self_checks_survive_python_O():
     assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
 
 
-def test_sparse_builds_last_psi_only_when_kept(cold_memos):
-    # the sparse oracle memoises the (phi, psi) pair of each proper prefix
-    # of its prime chain, 3, 15 and 105 for 1155, never the top step
-    memo = cyclotomic._sparse_pair
-    f = phi(1155, PhiAlgorithm.SparseSeries)
-    assert memo.cache_info()[1:] == (3, 512, 3)
-    assert phi(1155, PhiAlgorithm.SparseSeries) == f
-    assert memo.cache_info()[1:] == (3, 512, 3)
-    hits = memo.cache_info().hits
-    for n in (3, 15, 105):
-        memo(n)
-    assert memo.cache_info() == (hits + 3, 3, 512, 3)
-    # psi is the inclusion-exclusion cofactor and leaves the memo alone
-    assert poly_mul(f, psi(1155)) == poly_sub(monomial(1155), poly([1]))
-    assert memo.cache_info() == (hits + 3, 3, 512, 3)
+def test_default_routes_never_run_the_sparse_oracle(monkeypatch, cold_memos):
+    # default phi at orders 3-6, a scan's heads, a big-top-prime height and
+    # psi take their field widths and cofactors from inclusion-exclusion,
+    # never from the sparse series they are diffed against
+    def no_sparse_step(*args):
+        raise AssertionError("a default route ran the sparse series")
 
-
-def test_default_routes_leave_the_sparse_memo_empty(cold_memos):
-    # only phi(..., SparseSeries) reads the sparse memo: default phi at
-    # orders 3-6, a scan's heads, a big-top-prime height and psi take
-    # their field widths and cofactors from inclusion-exclusion
+    monkeypatch.setattr(cyclotomic, "_sparse_step", no_sparse_step)
+    cyclotomic._prefix_sizes.cache_clear()
     for n in (105, 1155, 15015, 255255):
         phi(n)
     scan("pqrsallflat", 3000)
     height_of((3, 5, 7, 28097))
     psi(15015)
     assert cyclotomic._prefix_sizes.cache_info().currsize > 0
-    assert cyclotomic._sparse_pair.cache_info().currsize == 0
+    with pytest.raises(AssertionError, match="sparse series"):
+        phi(1155, PhiAlgorithm.SparseSeries)
 
 
 def _cold(f, n):
-    cyclotomic._sparse_pair.cache_clear()
     cyclotomic._prefix_sizes.cache_clear()
     cyclotomic._phi_default.cache_clear()
     return f(n)

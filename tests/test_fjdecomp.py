@@ -384,6 +384,10 @@ def test_periodicity_compare_golden():
         periodicity_compare(15, 2, 19)
     with pytest.raises(HypothesisViolated):
         periodicity_compare(15, 3, 17)
+    # n < 2, s = t and a composite s break the hypotheses before any set is read
+    for n, s, t in ((1, 2, 17), (15, 17, 17), (15, 77, 17)):
+        with pytest.raises(HypothesisViolated, match="distinct primes"):
+            periodicity_compare(n, s, t)
 
 
 def test_unsigned_periodicity_members_match():

@@ -405,6 +405,30 @@ def test_scan_journal_torn_tail_keeps_hits(tmp_path):
     assert again.counterexamples == first.counterexamples
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["7", '{"chunk_done": [1, 2000], "bound": 5}', '"n"', "[]"],
+    ids=["number", "marker-without-tag", "string", "list"],
+)
+def test_scan_journal_line_that_is_no_entry_is_an_error(tmp_path, line):
+    # a line that parses but is no journal entry stops the load with one
+    # error line: skipped, a dropped hit under an intact chunk marker would
+    # be lost
+    from click.testing import CliRunner
+
+    from cycloforge.cli import main
+
+    journal = tmp_path / "cache.jsonl"
+    scan("notflat", 100, cache=str(journal))
+    with open(journal, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    number = len(journal.read_text(encoding="utf-8").splitlines())
+    argv = ["scan", "--conjecture", "notflat", "--bound", "100", "--cache", str(journal)]
+    r = CliRunner().invoke(main, argv)
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert r.stderr == f"error: {journal}, line {number}: not a journal entry\n"
+
+
 def test_scan_workers_pool_matches_inline(tmp_path):
     inline = scan("height_drop_p3", 6000, workers=1)
     pooled = scan("height_drop_p3", 6000, workers=2, chunk_width=1500)

@@ -260,6 +260,8 @@ def test_substitute_power():
     assert substitute_power(PHI15, 1) == PHI15
     phi6 = poly([1, -1, 1])
     assert substitute_power(phi6, 2) == poly([1, 0, -1, 0, 1])
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        substitute_power(phi6, 0)
 
 
 def test_extract_residue():
@@ -270,12 +272,16 @@ def test_extract_residue():
         extract_residue(PHI15, 2, 2)
     with pytest.raises(IndexOutOfRange):
         extract_residue(PHI15, 2, -1)
+    with pytest.raises(IndexOutOfRange, match="modulus must be positive"):
+        extract_residue(PHI15, 0, 0)
 
 
 def test_geometric_series():
     assert geometric_series(3, 2) == poly([1, 0, 0, 1])
     assert geometric_series(1, 5) == poly([1, 1, 1, 1, 1])
     assert geometric_series(2, 0) == ZERO
+    with pytest.raises(ValueError, match="step must be positive"):
+        geometric_series(0, 3)
 
 
 def test_evaluate():

@@ -1,12 +1,15 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
 memo is bounded, no constructor re-derives a polynomial or raises, every
-public function has a caller outside the tests, no process-pool
-machinery is imported, by the source or by a parallel scan, the CLI
-freezes the heap at exit, and each command loads only the stdlib it
-runs: only help and usage errors import click."""
+public function has a caller outside the tests, every layer the
+benchmark's tracer wraps resolves, no process-pool machinery is
+imported, by the source or by a parallel scan, the CLI freezes the heap
+at exit, and each command loads only the stdlib it runs: only help and
+usage errors import click."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -147,6 +150,38 @@ def test_every_public_function_has_a_caller():
                 public.append(where)
     found = [f"{module}: {name}" for module, name in public if not users[name] - {(module, name)}]
     assert found == []
+
+
+def _tracer_table(name):
+    # a module-level literal of perfbench/tracer.py, read without running it
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(target, "id", None) == name for target in targets):
+                return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_every_traced_layer_resolves():
+    # the tracer getattrs each LAYERS name, through its private alias where
+    # it has one, in its module, and reads an int default off scan's
+    # chunk_width; a rename or deletion here breaks a traced benchmark run
+    layers = _tracer_table("LAYERS")
+    aliases = _tracer_table("_ALIASES")
+    assert set(aliases) <= {public for names in layers.values() for public in names}
+    missing = []
+    for module, names in layers.items():
+        mod = importlib.import_module(f"cycloforge.{module}")
+        for public in names:
+            obj = mod
+            for part in aliases.get(public, public).split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{module}.{public}")
+    assert missing == []
+    scan = importlib.import_module("cycloforge.flatness").scan
+    assert type(inspect.signature(scan).parameters["chunk_width"].default) is int
 
 
 POOL_MODULES = ("concurrent.futures", "multiprocessing")

@@ -106,7 +106,6 @@ def test_widths_come_from_the_parts_and_cover_the_height(full):
         assert full[fs][0] <= bound < 1 << (b - 1), fs
         seen[fs] = b
     # the same widths from cold memos and from the parts in any order
-    cyclotomic._sparse_pair.cache_clear()
     cyclotomic._prefix_sizes.cache_clear()
     for fs in GRID[::97]:
         assert {_width(p, True)[1] for p in permutations(fs)} == {seen[fs]}, fs
