@@ -465,6 +465,4 @@ def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
 def psi(n: int) -> IntPolynomial:
     """The cofactor of phi(n) in x^n - 1 (monic, degree n - totient(n))."""
     primes, k = _radical_primes(n)
-    if not primes:
-        return IntPolynomial((1,))
     return substitute_power(signed_subset_product(primes, cofactor=True), k)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import itemgetter
 
 from ._numtheory import is_prime, primes_up_to
 
@@ -63,22 +64,16 @@ def prime_tuples(k: int, lo: int, hi: int):
 def coprime_tuples(k: int | None, lo: int, hi: int, odd_only: bool = False):
     """(product, parts) for ascending pairwise-coprime parts >= 2 (odd
     parts with odd_only): exactly k parts, or with k = None any number of
-    parts, each tuple before its extensions."""
+    parts, in lexicographic order of the parts."""
+    if k is None:
+        import heapq  # here, so commands that never merge skip it
+        # each stream is lexicographic, and k parts >= 2 multiply to >= 2^k
+        streams = [coprime_tuples(j, lo, hi, odd_only) for j in range(1, hi.bit_length() + 1)]
+        return heapq.merge(*streams, key=itemgetter(1))
     first, step = (3, 2) if odd_only else (2, 1)
-    if k is not None:
-        # no part exceeds hi / first^(k - 1)
-        cands = list(range(first, hi // first ** (k - 1) + 1, step))
-        return _ascending(k, lo, hi, cands, coprime=True)
-
-    def extend(least: int, acc: int, head: tuple):
-        for p in range(least, hi // acc + 1, step):
-            if gcd(p, acc) == 1:
-                parts = head + (p,)
-                if acc * p >= lo:
-                    yield acc * p, parts
-                yield from extend(p + step, acc * p, parts)
-
-    return extend(first, 1, ())
+    # no part exceeds hi / first^(k - 1)
+    cands = list(range(first, hi // first ** (k - 1) + 1, step))
+    return _ascending(k, lo, hi, cands, coprime=True)
 
 
 def squarefree(lo: int, hi: int):

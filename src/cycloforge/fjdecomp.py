@@ -27,6 +27,7 @@ from .errors import (
     RequiresLargeP,
 )
 from .intpoly import (
+    ONE,
     ZERO,
     IntPolynomial,
     extract_residue,
@@ -82,14 +83,11 @@ def _check_pair(n: int, p: int, least: int) -> None:
 def mod_phi_reduce(t: IntPolynomial, n: int) -> IntPolynomial:
     """Unique representative of degree < deg phi(n) congruent to t. Since
     x^n = 1 holds modulo phi(n), exponents fold mod n first, then one
-    monic remainder finishes. An input of degree below n skips the fold:
-    the remainder alone is cheaper there."""
+    monic remainder finishes."""
     if n < 2:
         raise ValueError("modulus index must be at least 2")
-    coeffs = t.coeffs
-    if len(coeffs) > n:
-        coeffs = [sum(coeffs[r::n]) for r in range(n)]
-    return poly_mod_monic(poly(coeffs), phi(n))
+    folded = [sum(t.coeffs[r::n]) for r in range(n)]
+    return poly_mod_monic(poly(folded), phi(n))
 
 
 def bezout_split(n: int, p: int) -> BezoutSplit:
@@ -162,15 +160,14 @@ def fstar_family(n: int, p: int) -> list[IntPolynomial]:
 def fstar_shifts(n: int, p: int) -> Iterator[IntPolynomial]:
     """The entries of fstar_family(n, p), one at a time, so a caller that
     folds them holds one entry of phi(n)'s degree rather than all n. Bad
-    input raises at the call, before any entry is asked for."""
+    input raises at the call, before any entry is asked for. With m the
+    radical of n, phi(n*p) = phi(m*p)(x^(n/m)) and p does not divide n/m,
+    so member 0 is f0_fast's for the primes of m at x^(n/m), or 1 at n = 1."""
     _check_pair(n, p, 1)
     if p < n:
         raise RequiresLargeP(f"need p > n, got p={p}, n={n}")
-    fac = factorize(n)
-    if all(e == 1 for _, e in fac):
-        f0 = f0_fast(tuple(q for q, _ in fac), p) if n > 1 else extract_residue(phi(p), p, 0)
-    else:
-        f0 = extract_residue(phi(n * p), p, 0)
+    primes = tuple(q for q, _ in factorize(n))
+    f0 = substitute_power(f0_fast(primes, p), n // prod(primes)) if n > 1 else ONE
     return _shifts(f0, phi(n).coeffs, n)
 
 

@@ -74,38 +74,37 @@ def _shift_family(odd: tuple[int, ...]) -> Iterator[IntPolynomial] | None:
     return fstar_shifts(n, p)
 
 
-def height_of(factors, multiplier: int = 1) -> int:
-    """Largest absolute coefficient. Square parts and factors of 2 never
-    change it, so only the odd radical counts; a top prime beyond the
-    product of the others is read off the reduced shift family when that
-    is cheaper than the expansion, and otherwise half the expansion
-    suffices, since phi is palindromic."""
-    odd = _odd_part_factors(factors)
-    _check_multiplier(multiplier, factors)
-    if not odd:
-        return 1  # phi(1) = x - 1, phi(2) = x + 1
+def _odd_value_set(odd: tuple[int, ...]) -> frozenset[int]:
+    # the coefficient set of phi(prod(odd)), routed as coefficient_set_of says
     family = _shift_family(odd)
-    if family is not None:
-        return max(map(poly_height, family))
-    return signed_subset_head(odd, primes=True).height
-
-
-def coefficient_set_of(factors, multiplier: int = 1) -> frozenset[int]:
-    """Exact coefficient set (always includes 0). A factor of 2 flips the
-    signs at odd exponents, which can change the set, so it is honored.
-    An odd top prime beyond the product of the others is read off the
-    reduced shift family when that is cheaper than the expansion, and
-    otherwise the packed head suffices (cyclotomic.coefficient_set)."""
-    odd = _odd_part_factors(factors)
-    _check_multiplier(multiplier, factors)
-    even = 2 in tuple(factors) or multiplier % 2 == 0
-    family = None if even else _shift_family(odd)
     if family is None:
-        return coefficient_set(prod(odd) * (2 if even else 1))
+        return coefficient_set(prod(odd))
     out = {0}
     for f in family:
         out.update(f.coeffs)
     return frozenset(out)
+
+
+def height_of(factors, multiplier: int = 1) -> int:
+    """Largest absolute coefficient. Square parts and factors of 2 never
+    change it, so it is the largest |v| in the odd radical's coefficient
+    set, read as coefficient_set_of reads an odd input's."""
+    odd = _odd_part_factors(factors)
+    _check_multiplier(multiplier, factors)
+    return max(map(abs, _odd_value_set(odd)))
+
+
+def coefficient_set_of(factors, multiplier: int = 1) -> frozenset[int]:
+    """Exact coefficient set (always includes 0). A factor of 2 flips the
+    signs at odd exponents, which can change the set, so it is honored,
+    on the packed head (cyclotomic.coefficient_set). An odd top prime
+    beyond the product of the others is read off the reduced shift family
+    when that is cheaper than the expansion, any other input off the head."""
+    odd = _odd_part_factors(factors)
+    _check_multiplier(multiplier, factors)
+    if 2 in tuple(factors) or multiplier % 2 == 0:
+        return coefficient_set(2 * prod(odd))
+    return _odd_value_set(odd)
 
 
 class VerdictStatus(Enum):
@@ -416,7 +415,8 @@ class HeightCache:
         # Hits are grouped under the bound they were written with, so a
         # window finished under several bounds contributes one set of hits.
         # A line that parses but is no entry is an error, not skipped: a
-        # dropped hit under an intact chunk_done would lose that hit.
+        # dropped hit under an intact chunk_done would lose that hit. A hit
+        # needs the keys that the report, the CSV and replay_ok read.
         import json
 
         pending: dict[tuple, list[dict]] = {}
@@ -437,12 +437,14 @@ class HeightCache:
                     elif "hit" in obj:
                         lo, hi = obj["chunk"]
                         key = (obj["conjecture"], obj["bound"], lo, hi)
+                        if not {"n", "factors", "heights", "verdict"} <= obj["hit"].keys():
+                            raise KeyError(line)
                         pending.setdefault(key, []).append(obj["hit"])
                     elif "n" in obj:
                         self.heights[tuple(obj["factors"])] = obj
                     else:
                         raise KeyError(line)
-                except (KeyError, TypeError, ValueError):
+                except (AttributeError, KeyError, TypeError, ValueError):
                     raise ValueError(f"{self.path}, line {number}: not a journal entry") from None
 
     def writable(self) -> bool:

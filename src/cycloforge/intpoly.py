@@ -251,12 +251,9 @@ def poly_mod_monic(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         raise DivisionByZero("division by the zero polynomial")
     if bl[-1] != 1:
         raise ValueError("poly_mod_monic requires a monic divisor")
-    db = len(bl) - 1
-    if len(a.coeffs) - 1 < db:
-        return a
     rem = list(a.coeffs)
     long_divide(rem, bl)
-    return IntPolynomial(rem[:db])
+    return IntPolynomial(rem[: len(bl) - 1])
 
 
 def poly_height(a: IntPolynomial) -> int:

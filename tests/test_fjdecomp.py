@@ -319,19 +319,32 @@ def test_fstar_partial_sum_identity():
 
 
 @pytest.mark.parametrize("n, p", [(4, 5), (9, 11), (12, 13), (18, 19), (50, 53)])
-def test_fstar_shifts_of_a_non_squarefree_index(monkeypatch, n, p):
-    # n has a square factor, so member 0 comes from the full polynomial of
-    # n*p rather than from f0_fast; each shift is x^j * member_0 mod phi(n)
-    def refuse(*args):
-        raise AssertionError("f0_fast serves squarefree n only")
-
-    monkeypatch.setattr(fjdecomp, "f0_fast", refuse)
+def test_fstar_shifts_of_a_non_squarefree_index(n, p):
+    # each shift is x^j * member_0 mod phi(n), member_0 sliced off phi(n*p)
     member0 = extract_residue(phi(n * p), p, 0)
     shifts = list(fjdecomp.fstar_shifts(n, p))
     assert len(shifts) == n
     for j, got in enumerate(shifts):
         assert got == poly_mod_monic(poly_mul(monomial(j), member0), phi(n)), j
         assert got.degree < totient(n)
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (4, 5), (9, 11), (12, 13), (50, 53)])
+def test_fstar_shifts_never_expand_phi_np(monkeypatch, n, p):
+    # member 0 comes from f0_fast over the primes of n's radical, whatever
+    # n is, so no cyclotomic polynomial of an index that p divides is built
+    member0 = fj_family(n, p).members[0]
+    real = fjdecomp.phi
+
+    def guarded(k, *args):
+        if k % p == 0:
+            raise AssertionError(f"expanded phi({k})")
+        return real(k, *args)
+
+    monkeypatch.setattr(fjdecomp, "phi", guarded)
+    shifts = list(fjdecomp.fstar_shifts(n, p))
+    assert len(shifts) == n
+    assert shifts[0] == member0
 
 
 def test_fstar_rejects_small_p():

@@ -129,8 +129,10 @@ def test_bigtop_route_edge_cases(monkeypatch):
         f = phi(prod(factors), PhiAlgorithm.SparseSeries)
         assert coefficient_set_of(factors) == want == coeff_set(f)
         assert height_of(factors) == max(map(abs, want))
+    # an even input's height is its odd radical's, off the same family
+    assert height_of((2, 3, 5, 461)) == 2
     assert calls == [(15, 151), (15, 151), (15, 461), (15, 461), (3, 101), (3, 101),
-                     (1, 101), (1, 101), (105, 1061), (105, 1061)]
+                     (1, 101), (1, 101), (105, 1061), (105, 1061), (15, 461)]
     # the multiplier repeats given primes and changes neither answer
     assert height_of([3, 5, 7, 1061], multiplier=9 * 1061) == 3
     assert coefficient_set_of([3, 5, 7, 1061], multiplier=25) == set(range(-3, 4))
@@ -405,24 +407,39 @@ def test_scan_journal_torn_tail_keeps_hits(tmp_path):
     assert again.counterexamples == first.counterexamples
 
 
+_MARKER = '{"chunk_done": [1, 100], "conjecture": "notflat", "bound": 100}'
+
+
+def _hit_line(hit):
+    return f'{{"hit": {hit}, "conjecture": "notflat", "bound": 100, "chunk": [1, 100]}}'
+
+
 @pytest.mark.parametrize(
     "line",
-    ["7", '{"chunk_done": [1, 2000], "bound": 5}', '"n"', "[]"],
-    ids=["number", "marker-without-tag", "string", "list"],
+    [
+        "7",
+        '{"chunk_done": [1, 2000], "bound": 5}',
+        '"n"',
+        "[]",
+        _hit_line(5) + "\n" + _MARKER,
+        _hit_line('{"n": 5}') + "\n" + _MARKER,
+    ],
+    ids=["number", "marker-without-tag", "string", "list", "hit-number", "hit-without-keys"],
 )
 def test_scan_journal_line_that_is_no_entry_is_an_error(tmp_path, line):
     # a line that parses but is no journal entry stops the load with one
     # error line: skipped, a dropped hit under an intact chunk marker would
-    # be lost
+    # be lost. A hit that is no record of the keys the report reads is no
+    # entry either, even with its chunk marker after it.
     from click.testing import CliRunner
 
     from cycloforge.cli import main
 
     journal = tmp_path / "cache.jsonl"
     scan("notflat", 100, cache=str(journal))
+    number = len(journal.read_text(encoding="utf-8").splitlines()) + 1
     with open(journal, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
-    number = len(journal.read_text(encoding="utf-8").splitlines())
     argv = ["scan", "--conjecture", "notflat", "--bound", "100", "--cache", str(journal)]
     r = CliRunner().invoke(main, argv)
     assert (r.exit_code, r.stdout) == (1, "")

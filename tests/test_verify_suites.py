@@ -4,6 +4,7 @@ from cycloforge import verify_suites
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import UnknownSuite
 from cycloforge.fjdecomp import BezoutSplit, FjFamily
+from cycloforge.flatness import VerdictStatus
 from cycloforge.intpoly import poly, poly_add
 from cycloforge.verify_suites import SUITE_NAMES, PropertyResult, run_suite
 
@@ -195,6 +196,12 @@ FORGERIES = {
         "family-invariants",
         "a breaks its degree bound",
     ),
+    "b-over-bound": (
+        None,
+        lambda split: split._replace(b=poly_add(split.b, monomial(2))),
+        "family-invariants",
+        "b breaks its degree bound",
+    ),
     "a-breaks-identity": (
         None,
         lambda split: _forge_a(split, poly_add(split.a, monomial(0))),
@@ -236,6 +243,40 @@ def test_fj_suite_catches_forgeries(monkeypatch, name):
             assert message in r.info
         else:
             assert r.ok, r
+
+
+def test_fj_suite_catches_a_source_polynomial_too_short(monkeypatch):
+    # phi(15) without its top term: the members of both pairs with n*p = 15
+    # keep their degree budgets, yet the last of them reaches past it
+    real = verify_suites.phi
+
+    def forged(n, alg=None):
+        f = real(n, alg)
+        return poly(f.coeffs[:-1]) if n == 15 else f
+
+    monkeypatch.setattr(verify_suites, "phi", forged)
+    results = run_suite("fj", max_value=6)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        "family-invariants": "2 counterexamples, first: "
+        "(3, 5, 'members overflow the source polynomial')",
+    }
+
+
+@pytest.mark.parametrize("status", [VerdictStatus.HeightExactly2, VerdictStatus.NotFlat])
+def test_classifier_suite_catches_a_forged_verdict(monkeypatch, status):
+    # (3, 5, 31) has height 1, so a verdict of height 2, or of not flat,
+    # fails the one property that compares verdicts with heights
+    real = verify_suites.classify
+
+    def forged(factors):
+        v = real(factors)
+        return v._replace(status=status) if factors == (3, 5, 31) else v
+
+    monkeypatch.setattr(verify_suites, "classify", forged)
+    results = run_suite("classifier-soundness", max_value=1000)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        "definite-verdicts-match-brute": "1 counterexamples, first: (3, 5, 31, 1)",
+    }
 
 
 @pytest.mark.parametrize("j, off_by_phi", [(2, False), (0, False), (6, False), (2, True)])
