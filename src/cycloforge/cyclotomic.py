@@ -152,25 +152,25 @@ class Head(NamedTuple):
     height: int
 
 
-def _height_bound(parts: tuple[int, ...], primes: bool, top: int) -> int:
+def _height_bound(parts: tuple[int, ...], top: int) -> int:
     # A bound on |[x^i]| for i < top of the product of the parts, proved
-    # from the parts alone, never read off the answer.
+    # from the parts alone, never read off the answer or taken on trust.
     #
     # Any k parts: the product is prod(1 - x^d) over m = 2^(k-1) binomials,
     # whose absolute coefficients sum to 2^m, times prod 1/(1 - x^d) over m
     # more, whose coefficients are at most those of 1/(1 - x)^m, at most
     # C(i + m - 1, m - 1).
     #
-    # Distinct primes (a product phi(N); a factor 2 only flips signs): at
-    # most two odd ones give height 1. With more, s the top odd prime and n
-    # the product of the other odd ones, as power series
+    # Distinct primes, tested here, make the product phi(N) (a factor 2 only
+    # flips signs): at most two odd ones give height 1. With more, s the top
+    # odd prime and n the product of the other odd ones, as power series
     #   phi_ns = phi_n(x^s) / phi_n(x) = -phi_n(x^s) psi_n(x) sum_j x^(jn).
     # [x^j] phi_n(x^s) psi_n(x) sums [x^a]phi_n [x^b]psi_n over a s + b = j,
     # at most one term per b = j (mod s), so it is at most A(phi_n) C, with
     # C the largest sum of |[x^b]psi_n| over one residue class b mod s.
     # The series sums floor(i / n) + 1 of those into [x^i]. For three odd
     # primes p < q < r, Bang's bound A(pqr) <= p - 1 holds as well.
-    if not primes:
+    if len(set(parts)) < len(parts) or not all(map(nt.is_prime, parts)):
         m = 2 ** (len(parts) - 1)
         return 2**m * comb(top + m - 1, m - 1)
     odd = sorted(p for p in parts if p != 2)
@@ -189,7 +189,7 @@ def _prefix_sizes(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     # for n the product of two or more ascending odd primes. The head's own
     # bound recurses on fewer primes and ends at two, whose bound is 1.
     psi_n = signed_subset_product(primes, cofactor=True).coeffs
-    return signed_subset_head(primes, primes=True).height, tuple(map(abs, psi_n))
+    return signed_subset_head(primes).height, tuple(map(abs, psi_n))
 
 
 def _over_binomial(x: int, e: int, b: int, top: int, mask: int) -> int:
@@ -247,16 +247,16 @@ def _head_values(c: Sequence[int], h: int) -> Sequence[int]:
     return [v for v in range(-h, h + 1) if v & 255 in s]
 
 
-def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
+def signed_subset_head(parts: tuple[int, ...]) -> Head:
     """The lower half of signed_subset_product(parts), a palindromic
-    polynomial, with its height. With primes (distinct primes, so the
-    product is phi of theirs) the field width comes from phi's height
-    bounds, otherwise from the generic one (see _height_bound)."""
+    polynomial, with its height. The field width comes from a height bound
+    that _height_bound proves from the parts: phi's when they are distinct
+    primes, so the product is phi of theirs, the generic one otherwise."""
     plus, minus = _binomials(parts)
     deg = sum(plus) - sum(minus)
     at_one = prod(plus) // prod(minus)
     top = deg // 2 + 2
-    b = field_width(_height_bound(parts, primes, top))
+    b = field_width(_height_bound(parts, top))
     w = b // 8
     mask = (1 << b * top) - 1
     # Kronecker substitution: x = 2^b maps Z[x]/(x^top) onto Z/2^(b top),
@@ -298,10 +298,10 @@ def signed_subset_head(parts: tuple[int, ...], primes: bool = False) -> Head:
     return Head(coeffs[: h + 1], height)
 
 
-def head_and_mirror(parts: tuple[int, ...], primes: bool = False) -> IntPolynomial:
-    """signed_subset_product(parts) for parts > 1: the packed head followed
-    by its mirror image, since the product is palindromic."""
-    c = signed_subset_head(parts, primes).coeffs
+def head_and_mirror(parts: tuple[int, ...]) -> IntPolynomial:
+    """signed_subset_product(parts) for parts > 1: the packed head, its width
+    proved from the parts, followed by its mirror image (a palindrome)."""
+    c = signed_subset_head(parts).coeffs
     deg = prod(p - 1 for p in parts)
     return IntPolynomial(tuple(c + c[deg - len(c) :: -1]))
 
@@ -317,7 +317,7 @@ def coefficient_set(n: int) -> frozenset[int]:
     even = n % 2 == 0
     if not odd:
         return frozenset((0, 1) if even else (-1, 0, 1))
-    c, h = signed_subset_head(odd, primes=True)
+    c, h = signed_subset_head(odd)
     if even:
         return frozenset((0, *_head_values(c[::2], h), *map(neg, _head_values(c[1::2], h))))
     return frozenset((0, *_head_values(c, h)))
@@ -432,7 +432,7 @@ def _phi_default(n: int) -> IntPolynomial:
     primes, k = _radical_primes(n)
     if not primes:
         return _X_MINUS_1
-    return substitute_power(head_and_mirror(primes, primes=True), k)
+    return substitute_power(head_and_mirror(primes), k)
 
 
 def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:

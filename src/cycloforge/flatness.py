@@ -248,16 +248,16 @@ def classify(factors) -> Verdict:
 # conjecture scans
 
 
-def height_record(factors: tuple, pseudo: bool) -> dict:
-    """The journal record of one scanned polynomial: phi of the product of
-    the primes, or the inclusion-exclusion polynomial of the ascending
-    parts (all > 1). Both are palindromic, so the height is read off the
-    lower half of the expansion."""
+def height_record(factors: tuple) -> dict:
+    """The journal record of one scanned polynomial: the inclusion-exclusion
+    polynomial of the ascending parts (all > 1), which is phi of their
+    product when they are distinct primes. It is palindromic, so the height
+    is read off the lower half of the expansion."""
     return {
         "n": prod(factors),
         "factors": list(factors),
         "degree": prod(q - 1 for q in factors),
-        "height": signed_subset_head(tuple(factors), primes=not pseudo).height,
+        "height": signed_subset_head(tuple(factors)).height,
     }
 
 
@@ -379,7 +379,7 @@ def _scan_chunk(desc: tuple) -> tuple:
 
     def height(factors: tuple) -> int:
         if factors not in records:
-            records[factors] = height_record(factors, spec.pseudo)
+            records[factors] = height_record(factors)
         return records[factors]["height"]
 
     hits = [
@@ -412,14 +412,14 @@ class HeightCache:
             self._load()
 
     def _load(self) -> None:
-        # Hits are grouped under the bound they were written with, so a
-        # window finished under several bounds contributes one set of hits.
-        # A line that parses but is no entry is an error, not skipped: a
-        # dropped hit under an intact chunk_done would lose that hit. A hit
-        # needs the keys that the report, the CSV and replay_ok read.
+        # Hits are grouped under the bound they were written with, and by
+        # line: a window done under several bounds, or a torn chunk's hit
+        # and its rerun's, count once. A line that parses but is no entry is
+        # an error, not skipped: a dropped hit under an intact chunk_done
+        # would lose it. A hit needs the keys the report, CSV and replay read.
         import json
 
-        pending: dict[tuple, list[dict]] = {}
+        pending: dict[tuple, dict[str, dict]] = {}
         with open(self.path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 line = line.strip()
@@ -433,13 +433,14 @@ class HeightCache:
                     if "chunk_done" in obj:
                         lo, hi = obj["chunk_done"]
                         key = _chunk_key(obj["conjecture"], obj["bound"], lo, hi)
-                        self.hits[key] = pending.pop((obj["conjecture"], obj["bound"], lo, hi), [])
+                        done = pending.pop((obj["conjecture"], obj["bound"], lo, hi), {})
+                        self.hits[key] = list(done.values())
                     elif "hit" in obj:
                         lo, hi = obj["chunk"]
                         key = (obj["conjecture"], obj["bound"], lo, hi)
                         if not {"n", "factors", "heights", "verdict"} <= obj["hit"].keys():
                             raise KeyError(line)
-                        pending.setdefault(key, []).append(obj["hit"])
+                        pending.setdefault(key, {})[line] = obj["hit"]
                     elif "n" in obj:
                         self.heights[tuple(obj["factors"])] = obj
                     else:

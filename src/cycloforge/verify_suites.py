@@ -340,8 +340,8 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
     return out
 
 
-def _head_record_ok(factors: tuple, pseudo: bool, f) -> bool:
-    rec = height_record(factors, pseudo)
+def _head_record_ok(factors: tuple, f) -> bool:
+    rec = height_record(factors)
     return rec["height"] == poly_height(f) and rec["degree"] == f.degree
 
 
@@ -356,7 +356,7 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
         # with the scans
         f = phi(n, PhiAlgorithm.SparseSeries)
         h = poly_height(f)
-        if not _head_record_ok((p, q, r), False, f):
+        if not _head_record_ok((p, q, r), f):
             head_bad.append((p, q, r))
         if r > p * q:
             bigtop += 1
@@ -385,7 +385,7 @@ def _run_classifier_soundness(limit: int) -> list[PropertyResult]:
     pseudo = 0
     for _, parts in coprime_tuples(3, 1, limit // 15):
         pseudo += 1
-        if not _head_record_ok(parts, True, signed_subset_product(parts)):
+        if not _head_record_ok(parts, signed_subset_product(parts)):
             head_bad.append(parts)
     return [
         _result(

@@ -208,7 +208,7 @@ def test_height_record_matches_full_expansion():
     cases += [(fs, True) for _, fs in coprime_tuples(3, 1, 1500, odd_only=True)]
     cases += [(fs, True) for _, fs in coprime_tuples(3, 1, 600)]
     for factors, pseudo in cases:
-        got = height_record(factors, pseudo)
+        got = height_record(factors)
         assert json.dumps(got) == json.dumps(_full_record(factors, pseudo)), factors
     assert len(cases) > 1300
 
@@ -407,6 +407,24 @@ def test_scan_journal_torn_tail_keeps_hits(tmp_path):
     assert again.counterexamples == first.counterexamples
 
 
+def test_scan_journal_torn_marker_counts_its_hit_once(tmp_path):
+    # a crash after a chunk's hit line but before its marker: the rerun
+    # writes the same hit under a whole marker, and every later load must
+    # count the two copies once
+    journal = tmp_path / "cache.jsonl"
+    scan("height_drop_p3", 6000, cache=str(journal))
+    marker = '{"chunk_done": [4001, 6000], "conjecture": "height_drop_p3", "bound": 6000}'
+    lines = journal.read_text().splitlines()
+    assert marker in lines
+    kept = [line for line in lines if line != marker]
+    journal.write_text("\n".join(kept) + '\n{"chunk_done": [4001, 60')
+    resumed = scan("height_drop_p3", 6000, cache=str(journal))
+    assert [r["n"] for r in resumed.counterexamples] == [4745]
+    assert sum('"hit"' in line for line in journal.read_text().splitlines()) == 2
+    again = scan("height_drop_p3", 6000, cache=str(journal))
+    assert again.counterexamples == resumed.counterexamples
+
+
 _MARKER = '{"chunk_done": [1, 100], "conjecture": "notflat", "bound": 100}'
 
 
@@ -586,36 +604,97 @@ def test_report_csv_and_json():
     assert back["complete"] is True
 
 
+_OFF_CONGRUENCE = "flat without q=+/-1 (mod p) or r=+/-1 (mod pq)"
+
+# Each tag's bound, the height forged for one item and the hit it makes.
+# No tested range holds a counterexample: each forged height is off by at
+# least one. The one window is [1, bound].
+FORGED_HITS = {
+    "notflat": (
+        400,
+        1,
+        {"n": 385, "factors": [5, 7, 11], "heights": [1], "verdict": _OFF_CONGRUENCE},
+    ),
+    "pseudonotflat": (
+        400,
+        1,
+        {"n": 315, "factors": [5, 7, 9], "heights": [1], "verdict": _OFF_CONGRUENCE},
+    ),
+    "pqrsallflat": (
+        1155,
+        1,
+        {
+            "n": 1155,
+            "factors": [3, 5, 7, 11],
+            "heights": [1],
+            "verdict": "flat quaternary without the full congruence chain",
+        },
+    ),
+    # the least pqrs chain with q != -1 (mod p) has height 2
+    "pqrs2": (
+        1481781,
+        3,
+        {
+            "n": 1481781,
+            "factors": [3, 7, 41, 1721],
+            "heights": [3],
+            "verdict": "chain with q!=-1 (mod p) but height 3 != 2",
+        },
+    ),
+    "pqrstnotflat": (
+        15015,
+        1,
+        {"n": 15015, "factors": [3, 5, 7, 11, 13], "heights": [1], "verdict": "flat quinary"},
+    ),
+    # 9177 = 3 * 3059 is the least product of four odd primes with exactly
+    # one non-flat ternary divisor, A(3059) = 3; A(9177) is 6
+    "np_stays_nonflat": (
+        9177,
+        1,
+        {
+            "n": 3059,
+            "factors": [7, 19, 23],
+            "p": 3,
+            "heights": [3, 1],
+            "verdict": "A(3059)=3 but A(9177)=1",
+        },
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "tag, forged, label",
-    [("notflat", (5, 7, 11), "385"), ("pseudonotflat", (5, 7, 9), "(5,7,9)")],
+    [
+        ("notflat", (5, 7, 11), "385"),
+        ("pseudonotflat", (5, 7, 9), "(5,7,9)"),
+        ("pqrsallflat", (3, 5, 7, 11), "1155"),
+        ("pqrs2", (3, 7, 41, 1721), "1481781"),
+        ("pqrstnotflat", (3, 5, 7, 11, 13), "15015"),
+        ("np_stays_nonflat", (3, 7, 19, 23), "3059->9177"),
+    ],
 )
 def test_scan_hit_is_reported_journalled_and_labelled(monkeypatch, tmp_path, tag, forged, label):
-    # no tested range holds a counterexample, so one triple off the
-    # congruences is forged flat (its height is 3 or 2); the hit must reach
-    # the report, the journal and the CSV, and replay must catch it
+    # one item's height is forged so that it breaks the tag; the hit must
+    # reach the report, the journal and the CSV, and replay must catch it
+    bound, height, hit = FORGED_HITS[tag]
     real = flatness.height_record
 
-    def record(factors, pseudo):
-        rec = real(factors, pseudo)
-        return {**rec, "height": 1} if tuple(factors) == forged else rec
+    def record(factors):
+        rec = real(factors)
+        return {**rec, "height": height} if tuple(factors) == forged else rec
 
     monkeypatch.setattr(flatness, "height_record", record)
     journal = tmp_path / "scan.jsonl"
-    rep = scan(tag, 400, cache=str(journal))
-    hit = {
-        "n": prod(forged),
-        "factors": list(forged),
-        "heights": [1],
-        "verdict": "flat without q=+/-1 (mod p) or r=+/-1 (mod pq)",
-    }
+    rep = scan(tag, bound, cache=str(journal), chunk_width=bound)
     assert rep.counterexamples == [hit]
     lines = [json.loads(line) for line in journal.read_text().splitlines()]
     assert [obj for obj in lines if "hit" in obj] == [
-        {"hit": hit, "conjecture": tag, "bound": 400, "chunk": [1, 400]}
+        {"hit": hit, "conjecture": tag, "bound": bound, "chunk": [1, bound]}
     ]
-    assert HeightCache(str(journal)).hits == {(tag, 1, 400): [hit]}
-    assert report_csv_rows(rep)[1:] == [["1", label, "1", hit["verdict"]]]
+    key = (tag, bound, 1, bound) if tag == "np_stays_nonflat" else (tag, 1, bound)
+    assert HeightCache(str(journal)).hits == {key: [hit]}
+    heights = ";".join(map(str, hit["heights"]))
+    assert report_csv_rows(rep)[1:] == [["1", label, heights, hit["verdict"]]]
     assert not rep.replay_ok()
 
 

@@ -3,17 +3,20 @@ against full expansions by the list kernels, and the field widths it takes
 from proved height bounds."""
 
 from array import array
+from collections import Counter
 from itertools import permutations
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloforge import cyclotomic, intpoly
+from cycloforge._numtheory import is_prime
 from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
 from cycloforge.domains import coprime_tuples, prime_tuples
 from cycloforge.flatness import coefficient_set_of, height_of
 from cycloforge.intpoly import coeff_set, poly_height
+from cycloforge.pseudocyclo import pseudo_phi
 
 # 40755 = 3*5*11*13*19 has height 359, beyond a signed byte
 WIDE = (3, 5, 11, 13, 19)
@@ -30,10 +33,13 @@ def _grid():
 GRID = _grid()
 
 
-def _width(parts, primes):
+def _top(parts):
     plus, minus = cyclotomic._binomials(parts)
-    top = (sum(plus) - sum(minus)) // 2 + 2
-    bound = cyclotomic._height_bound(parts, primes, top)
+    return (sum(plus) - sum(minus)) // 2 + 2
+
+
+def _width(parts):
+    bound = cyclotomic._height_bound(parts, _top(parts))
     return bound, intpoly.field_width(bound)
 
 
@@ -53,7 +59,7 @@ def full():
 
 def test_packed_heads_match_full_phi(full):
     for fs in GRID:
-        head = signed_subset_head(fs, primes=True)
+        head = signed_subset_head(fs)
         assert (head.height, {0, *head.coeffs}) == full[fs], fs
     assert len(GRID) > 3000
 
@@ -102,19 +108,56 @@ def test_byte_decode_matches_per_coefficient_pass(cs, low):
 def test_widths_come_from_the_parts_and_cover_the_height(full):
     seen = {}
     for fs in GRID:
-        bound, b = _width(fs, True)
+        bound, b = _width(fs)
         assert full[fs][0] <= bound < 1 << (b - 1), fs
         seen[fs] = b
     # the same widths from cold memos and from the parts in any order
     cyclotomic._prefix_sizes.cache_clear()
     for fs in GRID[::97]:
-        assert {_width(p, True)[1] for p in permutations(fs)} == {seen[fs]}, fs
+        assert {_width(p)[1] for p in permutations(fs)} == {seen[fs]}, fs
     # Bang's bound keeps every ternary head with p < 128 at one byte
     assert all(b == 8 for fs, b in seen.items() if len(fs) == 3 and fs[0] < 128)
     assert seen[WIDE] == 16
     for _, parts in coprime_tuples(3, 1, 2000):
-        bound, b = _width(parts, False)
+        bound, b = _width(parts)
         assert poly_height(signed_subset_product(parts)) <= bound < 1 << (b - 1), parts
+
+
+def test_height_bound_takes_phi_route_exactly_for_distinct_primes():
+    # phi's bound is for a product phi(N), which distinct primes make, with
+    # or without 2; a prime power, a composite part or a repeated prime
+    # gets the generic majorant, which holds for any parts
+    def generic(parts):
+        m = 2 ** (len(parts) - 1)
+        return 2**m * comb(_top(parts) + m - 1, m - 1)
+
+    phis = {(3, 5): 1, (2, 3, 5): 1, (3, 5, 7): 2, (2, 3, 5, 7): 2, (7, 3, 5): 2}
+    for parts, bound in phis.items():
+        assert cyclotomic._height_bound(parts, _top(parts)) == bound, parts
+    for parts in ((3, 5, 7, 11), (2, 3, 5, 7, 11), WIDE):
+        assert cyclotomic._height_bound(parts, _top(parts)) < generic(parts), parts
+    for parts in ((3, 5, 49), (5, 7, 15), (3, 3, 5), (4, 3, 5), (1, 3, 5)):
+        assert cyclotomic._height_bound(parts, _top(parts)) == generic(parts), parts
+
+
+def test_all_prime_pseudo_triples_take_byte_fields(monkeypatch):
+    # the pseudonotflat domain up to 3300: the 209 all-prime triples are
+    # phi of their product, so phi's bound gives them one byte per field;
+    # the other triples keep the generic majorant's 32 or 64 bits. The
+    # width of each expansion is the last one field_width gave.
+    widths = []
+    real = cyclotomic.field_width
+
+    def width(bound):
+        widths.append(real(bound))
+        return widths[-1]
+
+    monkeypatch.setattr(cyclotomic, "field_width", width)
+    seen = Counter()
+    for _, parts in coprime_tuples(3, 1, 3300, odd_only=True):
+        pseudo_phi(parts)
+        seen[all(map(is_prime, parts)), widths[-1]] += 1
+    assert seen == {(True, 8): 209, (False, 32): 101, (False, 64): 43}
 
 
 @pytest.fixture
@@ -136,10 +179,10 @@ def test_wider_than_64_bits_decodes(monkeypatch, cold_prefix_sizes):
     # four coprime parts take the generic bound past 64 bits; a forced
     # wider field must not change any head either
     f = signed_subset_product((8, 9, 25, 7))
-    assert _width((8, 9, 25, 7), False)[1] > 64
+    assert _width((8, 9, 25, 7))[1] > 64
     assert signed_subset_head((8, 9, 25, 7)).height == poly_height(f)
     monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 192)
-    head = signed_subset_head(WIDE, primes=True)
+    head = signed_subset_head(WIDE)
     assert head.height == 359
 
 
@@ -148,7 +191,7 @@ def test_proved_width_is_load_bearing(monkeypatch, cold_prefix_sizes):
     # fails a self-check or reads a different height
     monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 8)
     try:
-        height = signed_subset_head(WIDE, primes=True).height
+        height = signed_subset_head(WIDE).height
     except AssertionError:
         return
     assert height != 359

@@ -1,18 +1,22 @@
-"""One digest over values that the library computes by a route of its own
+"""Digests over values that the library computes by a route of its own
 choosing: the reduced shift family, the Bezout split, the cofactor psi,
 heights and coefficient sets by factor list, and the coprime tuples of any
-length. A change that replaces or merges one of those routes must leave
-every byte of these values as it was; the expected digest was recorded
-from the routes before such a change, and any differing byte changes it."""
+length; and over the expansions and scan records whose packed heads take
+a field width that the parts prove. A change that replaces or merges one
+of those routes, or narrows those widths, must leave every byte of these
+values as it was; each expected digest was recorded before such a change,
+and any differing byte changes it."""
 
 import hashlib
+import json
 
 from cycloforge._numtheory import primes_up_to
 from cycloforge.cyclotomic import psi
-from cycloforge.domains import coprime_tuples
+from cycloforge.domains import coprime_tuples, prime_tuples
 from cycloforge.fjdecomp import bezout_split, fstar_shifts
-from cycloforge.flatness import coefficient_set_of, height_of
+from cycloforge.flatness import coefficient_set_of, height_of, height_record
 from cycloforge.intpoly import to_text
+from cycloforge.pseudocyclo import pseudo_phi
 
 FACTOR_LISTS = [
     (),
@@ -28,6 +32,7 @@ FACTOR_LISTS = [
 ]
 
 DIGEST = "4a96045e8b0e93905be2d39e381d085de07fe20ec5ae89e3f17d354fdcd3d3f1"
+WIDTH_DIGEST = "40557dbd3e51918cc59ced4d97f99f68c969d247c3496f974a6180ced1467165"
 
 
 def _lines():
@@ -54,3 +59,23 @@ def test_routed_values_keep_their_bytes():
     for line in _lines():
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == DIGEST
+
+
+def _width_lines():
+    # coprime triples, all-prime ones among them, and the pseudonotflat
+    # domain up to 3300, whose 209 all-prime triples take one-byte fields
+    for _, parts in coprime_tuples(3, 1, 1500, odd_only=True):
+        yield f"pseudo_phi {parts!r}: {to_text(pseudo_phi(parts))}"
+    for _, parts in coprime_tuples(3, 1, 600):
+        yield f"pseudo_phi {parts!r}: {to_text(pseudo_phi(parts))}"
+    for _, fs in prime_tuples(3, 1, 8000):
+        yield json.dumps(height_record(fs))
+    for _, fs in coprime_tuples(3, 1, 3300, odd_only=True):
+        yield json.dumps(height_record(fs))
+
+
+def test_proved_widths_keep_their_bytes():
+    h = hashlib.sha256()
+    for line in _width_lines():
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == WIDTH_DIGEST

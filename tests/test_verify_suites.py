@@ -1,6 +1,6 @@
 import pytest
 
-from cycloforge import verify_suites
+from cycloforge import flatness, verify_suites
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import UnknownSuite
 from cycloforge.fjdecomp import BezoutSplit, FjFamily
@@ -260,6 +260,58 @@ def test_fj_suite_catches_a_source_polynomial_too_short(monkeypatch):
         "family-invariants": "2 counterexamples, first: "
         "(3, 5, 'members overflow the source polynomial')",
     }
+
+
+def test_fj_suite_catches_a_broken_shift_recursion(monkeypatch):
+    # entry 2 of the reduced shift family of (5, 7), raised by 1: entry 0,
+    # which f0-fast reads, still matches member 0, but entry 2 is no longer
+    # x * entry 1 plus a multiple of phi(5)
+    real = verify_suites.fstar_family
+
+    def forged(n, p):
+        stars = real(n, p)
+        if (n, p) == (5, 7):
+            stars[2] = _bump_constant(stars[2])
+        return stars
+
+    monkeypatch.setattr(verify_suites, "fstar_family", forged)
+    results = run_suite("fj", max_value=6)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        "fstar-recursion": "1 counterexamples, first: (5, 7, 2)",
+    }
+
+
+def test_paper_table_catches_wrong_drop_rows(monkeypatch):
+    # A(4745) = A(5 * 13 * 73) forged from 3 down to 2, A(3 * 4745): the
+    # drop is gone, so the scan returns no row and replays nothing
+    real = flatness.height_record
+
+    def record(factors):
+        rec = real(factors)
+        return {**rec, "height": 2} if tuple(factors) == (5, 13, 73) else rec
+
+    monkeypatch.setattr(flatness, "height_record", record)
+    results = run_suite("paper-table", max_value=5000)
+    assert [(r.ok, r.info) for r in results] == [
+        (False, "1 counterexamples, first: {'expected': [(4745, 3, 2)], 'got': []}")
+    ]
+
+
+def test_paper_table_catches_a_replay_mismatch(monkeypatch):
+    # the rows come from the packed heads and are right; the replay's
+    # sparse expansion of 3 * 4745, with its constant term raised by 10,
+    # reads a height of 11 instead of 2
+    real = flatness.phi
+
+    def forged(n, alg=None):
+        f = real(n, alg)
+        return _bump_constant(f, 10) if n == 3 * 4745 else f
+
+    monkeypatch.setattr(flatness, "phi", forged)
+    results = run_suite("paper-table", max_value=5000)
+    assert [(r.ok, r.info) for r in results] == [
+        (False, "1 counterexamples, first: replay mismatch")
+    ]
 
 
 @pytest.mark.parametrize("status", [VerdictStatus.HeightExactly2, VerdictStatus.NotFlat])
