@@ -36,7 +36,6 @@ from .cyclotomic import PhiAlgorithm, phi, psi
 from .errors import CycloforgeError
 from .fjdecomp import bezout_split, fj_extended, fj_family, fstar_shifts
 from .flatness import (
-    HeightCache,
     classify,
     coefficient_set_of,
     height_of,
@@ -508,14 +507,7 @@ def _verify_cmd(suite, max_value, n_values, smax, jobs):
 )
 def _scan_cmd(conjecture, bound, jobs, cache_path, no_cache, csv_path, json_path):
     """Exhaustively test a conjecture below a bound; print violations."""
-    store = None
-    if not no_cache:
-        store = HeightCache(cache_path)
-        if not store.writable():
-            raise ValueError(
-                f"cache {cache_path!r} is not writable; pass --no-cache to run anyway"
-            )
-    report = _scan(conjecture, bound, workers=jobs, cache=store)
+    report = _scan(conjecture, bound, workers=jobs, cache=None if no_cache else cache_path)
     echo(
         f"{report.conjecture}: checked 1..{report.range_checked[1]}, "
         f"{len(report.counterexamples)} counterexamples, complete"

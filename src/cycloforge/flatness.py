@@ -400,9 +400,9 @@ def _chunk_key(tag: str, bound: int, lo: int, hi: int) -> tuple:
 
 class HeightCache:
     """JSON-lines journal: one record per polynomial plus chunk markers
-    and recorded hits. Only the scan driver writes; workers stay pure.
-    hits maps each finished chunk, keyed by _chunk_key, to its hits, so a
-    larger bound reuses the windows a smaller one finished."""
+    and recorded hits. One scan call owns a store; workers stay pure.
+    hits maps each chunk the journal marks done, keyed by _chunk_key, to
+    its hits, so a larger bound reuses the windows a smaller one finished."""
 
     def __init__(self, path: str | None):
         self.path = path
@@ -448,26 +448,16 @@ class HeightCache:
                 except (AttributeError, KeyError, TypeError, ValueError):
                     raise ValueError(f"{self.path}, line {number}: not a journal entry") from None
 
-    def writable(self) -> bool:
-        if self.path is None:
-            return False
-        try:
-            with open(self.path, "a", encoding="utf-8"):
-                return True
-        except OSError:
-            return False
-
     def record_chunk(
         self, tag: str, bound: int, lo: int, hi: int, records: list, hits: list
     ) -> None:
-        fresh = [r for r in records if tuple(r["factors"]) not in self.heights]
-        for r in fresh:
-            self.heights[tuple(r["factors"])] = r
-        self.hits[_chunk_key(tag, bound, lo, hi)] = hits
         if self.path is None:
             return
         import json
 
+        fresh = [r for r in records if tuple(r["factors"]) not in self.heights]
+        for r in fresh:
+            self.heights[tuple(r["factors"])] = r
         lines = [json.dumps(r) for r in fresh]
         lines += [
             json.dumps({"hit": h, "conjecture": tag, "bound": bound, "chunk": [lo, hi]})
@@ -603,35 +593,36 @@ def fork_map(fn: Callable, items: Iterable, workers: int) -> Iterator:
             os.waitpid(pid, 0)
 
 
-def _windows(bound: int, width: int):
-    lo = 1
-    while lo <= bound:
-        hi = min(lo + width - 1, bound)
-        yield lo, hi
-        lo = hi + 1
-
-
 def scan(
     conjecture: str,
     bound: int,
     workers: int = 1,
-    cache: "HeightCache | str | None" = None,
+    cache: str | None = None,
     chunk_width: int = 2000,
 ) -> ScanReport:
     """Enumerate the conjecture's domain up to bound, journal every height
     computed, and return the violations. Chunks already marked done in the
-    journal are skipped, so interrupted scans resume for free."""
+    journal are skipped, so interrupted scans resume for free. cache is the
+    journal's path, or None; it is touched only once the arguments pass."""
     if conjecture not in SCAN_TAGS:
         raise UnknownConjecture(f"unknown conjecture {conjecture!r}")
     if bound < 1:
         raise ValueError("bound must be positive")
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
-    store = cache if isinstance(cache, HeightCache) else HeightCache(cache)
+    if cache is not None:
+        try:
+            open(cache, "a", encoding="utf-8").close()
+        except OSError:
+            raise ValueError(
+                f"cache {cache!r} is not writable; pass --no-cache to run anyway"
+            ) from None
+    store = HeightCache(cache)
     t0 = time.monotonic()
     descs = []
     hits: list[dict] = []
-    for lo, hi in _windows(bound, chunk_width):
+    for lo in range(1, bound + 1, chunk_width):
+        hi = min(lo + chunk_width - 1, bound)
         key = _chunk_key(conjecture, bound, lo, hi)
         if key in store.hits:
             hits.extend(store.hits[key])

@@ -447,15 +447,16 @@ def run_suite(
     max_value sets only the r2-biconditional range: factorization-product
     and gcd-identity always cover the coprime tuples with n <= 1000."""
     if name == "binary":
-        return _run_binary(max_value or 5000)
+        return _run_binary(5000 if max_value is None else max_value)
     if name == "fj":
-        return _run_fj(max_value or 200, 100, jobs)
+        return _run_fj(200 if max_value is None else max_value, 100, jobs)
     if name == "periodicity":
-        return _run_periodicity(tuple(n_values or (15, 21, 33, 35)), smax or 300)
+        n_values = tuple(n_values or (15, 21, 33, 35))
+        return _run_periodicity(n_values, 300 if smax is None else smax)
     if name == "pseudo":
-        return _run_pseudo(max_value or 20000)
+        return _run_pseudo(20000 if max_value is None else max_value)
     if name == "classifier-soundness":
-        return _run_classifier_soundness(max_value or 30000)
+        return _run_classifier_soundness(30000 if max_value is None else max_value)
     if name == "paper-table":
-        return _run_paper_table(max_value or 20000, jobs)
+        return _run_paper_table(20000 if max_value is None else max_value, jobs)
     raise UnknownSuite(f"unknown verification suite {name!r}")

@@ -290,6 +290,15 @@ def test_verify_exits_1_on_a_failing_property(runner, monkeypatch):
     )
 
 
+def test_verify_zero_range_is_not_the_default(runner):
+    r = runner.invoke(main, ["verify", "--suite", "binary", "--max", "0"])
+    assert r.exit_code == 0
+    assert "PASS binary/flat-height: 0 prime pairs\n" in r.stdout
+    r = runner.invoke(main, ["verify", "--suite", "paper-table", "--max", "0"])
+    assert (r.exit_code, r.stdout) == (1, "")
+    assert "bound must be positive" in r.stderr
+
+
 def test_verify_classifier_soundness_small(runner):
     r = runner.invoke(main, ["verify", "--suite", "classifier-soundness", "--max", "2000"])
     assert r.exit_code == 0
@@ -335,10 +344,18 @@ def test_scan_exports(runner):
 
 
 def test_scan_error_paths(runner):
+    import os
+
     with runner.isolated_filesystem():
-        r = runner.invoke(main, ["scan", "--conjecture", "nosuch", "--bound", "100"])
-        assert r.exit_code == 1
-        assert "unknown conjecture" in r.stderr
+        # a rejected scan touches no journal
+        for conjecture, bound, error in [
+            ("nosuch", "100", "unknown conjecture"),
+            ("notflat", "0", "bound must be positive"),
+        ]:
+            r = runner.invoke(main, ["scan", "--conjecture", conjecture, "--bound", bound])
+            assert (r.exit_code, r.stdout) == (1, "")
+            assert error in r.stderr
+            assert os.listdir(".") == []
         r = runner.invoke(
             main,
             ["scan", "--conjecture", "notflat", "--bound", "100",

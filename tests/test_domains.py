@@ -176,11 +176,12 @@ SMALL_BOUND = {
 
 
 @pytest.mark.parametrize("tag", SCAN_TAGS)
-def test_every_tag_scans_the_same_in_one_window_and_many(tag):
+def test_every_tag_scans_the_same_in_one_window_and_many(tag, tmp_path):
     bound = SMALL_BOUND[tag]
-    one, many = HeightCache(None), HeightCache(None)
-    rep_one = scan(tag, bound, cache=one, chunk_width=bound)
-    rep_many = scan(tag, bound, cache=many, chunk_width=bound // 11)
+    one_path, many_path = str(tmp_path / "one.jsonl"), str(tmp_path / "many.jsonl")
+    rep_one = scan(tag, bound, cache=one_path, chunk_width=bound)
+    rep_many = scan(tag, bound, cache=many_path, chunk_width=bound // 11)
+    one, many = HeightCache(one_path), HeightCache(many_path)
     assert len(one.hits) == 1 and len(many.hits) == 12
     assert rep_many.counterexamples == rep_one.counterexamples
     assert many.heights == one.heights

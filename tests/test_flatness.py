@@ -323,13 +323,13 @@ def test_notflat_scan_empty_below_10000():
     assert rep.replay_ok()
 
 
-def test_pseudo_scans_empty_below_3000():
-    store = HeightCache(None)
+def test_pseudo_scans_empty_below_3000(tmp_path):
+    journal = str(tmp_path / "scan.jsonl")
     for tag in ("pseudonotflat", "pseudobroadhurst3"):
-        rep = scan(tag, 3000, cache=store)
+        rep = scan(tag, 3000, cache=journal)
         assert rep.counterexamples == []
     # composite parts really were enumerated, e.g. (3, 5, 49)
-    assert (3, 5, 49) in store.heights
+    assert (3, 5, 49) in HeightCache(journal).heights
 
 
 def test_quaternary_and_quinary_scans_small():
@@ -348,24 +348,55 @@ def test_pqrs2_scan_and_chain_domain():
     assert scan("pqrs2", 100000).counterexamples == []
 
 
-def test_np_scans_empty_small():
-    store = HeightCache(None)
-    rep = scan("np_stays_nonflat", 4000, cache=store)
+def test_np_scans_empty_small(tmp_path):
+    journal = str(tmp_path / "scan.jsonl")
+    rep = scan("np_stays_nonflat", 4000, cache=journal)
     assert rep.counterexamples == []
+    store = HeightCache(journal)
     assert (3, 5, 7) in store.heights
     assert store.heights[(3, 5, 7)]["height"] == 2
     assert store.heights[(3, 5, 7)]["degree"] == 48
     assert scan("np_monotonic_p5", 6000).counterexamples == []
 
 
-def test_scan_validation():
+def test_scan_validation(tmp_path):
+    # arguments are checked before the journal is touched
+    journal = str(tmp_path / "cache.jsonl")
     with pytest.raises(UnknownConjecture):
-        scan("nosuch", 1000)
-    with pytest.raises(ValueError):
-        scan("notflat", 0)
+        scan("nosuch", 1000, cache=journal)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        scan("notflat", 0, cache=journal)
     for width in (0, -5):
-        with pytest.raises(ValueError):
-            scan("notflat", 1000, chunk_width=width)
+        with pytest.raises(ValueError, match="chunk_width must be positive"):
+            scan("notflat", 1000, cache=journal, chunk_width=width)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("where", ["missing/j", "."], ids=["no-directory", "a-directory"])
+def test_scan_refuses_a_journal_it_cannot_write(tmp_path, where):
+    journal = str(tmp_path / where)
+    with pytest.raises(ValueError) as err:
+        scan("notflat", 100, cache=journal)
+    assert str(err.value) == (
+        f"cache {journal!r} is not writable; pass --no-cache to run anyway"
+    )
+
+
+def test_scan_without_a_journal_writes_no_file(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    rep = scan("height_drop_p3", 5000, cache=None)
+    assert [r["n"] for r in rep.counterexamples] == [4745]
+    assert os.listdir(tmp_path) == []
+
+
+def test_scan_journal_blank_lines_load_the_same(tmp_path):
+    journal = tmp_path / "cache.jsonl"
+    scan("height_drop_p3", 5000, cache=str(journal), chunk_width=1000)
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n\n".join(journal.read_text().splitlines()) + "\n  \n")
+    plain, loose = HeightCache(str(journal)), HeightCache(str(spaced))
+    assert len(plain.hits) == 5 and any(plain.hits.values())
+    assert (loose.hits, loose.heights) == (plain.hits, plain.heights)
 
 
 def test_scan_journal_resume(tmp_path):

@@ -1,0 +1,44 @@
+"""The mutation harness in tools/mutants.py: its sites and its edits."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
+spec = importlib.util.spec_from_file_location("mutants", TOOL)
+mutants = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(mutants)
+
+# ast gives columns in UTF-8 bytes: a two-byte letter sits before the
+# first two operators
+SOURCE = """\
+def f(a, b, xs, out):
+    if len("é") < (b) and a not in xs:
+        out.append(
+            a,
+        )
+    return a is None or b >= 2
+"""
+
+
+def test_each_site_flips_or_drops_one_span():
+    source = SOURCE.encode()
+    got = [mutants.describe(source, m) for m in mutants.mutants(source)]
+    assert got == [
+        '2: if len("é") < (b) and a not in xs: -> if len("é") >= (b) and a not in xs:',
+        '2: if len("é") < (b) and a not in xs: -> if len("é") < (b) and a in xs:',
+        "3: out.append( -> pass",
+        "6: return a is None or b >= 2 -> return a is not None or b >= 2",
+        "6: return a is None or b >= 2 -> return a is None or b < 2",
+    ]
+    for m in mutants.mutants(source):
+        mutated = mutants.apply(source, m)
+        ast.parse(mutated)
+        assert mutated.count(b"\n") == source.count(b"\n")
+
+
+def test_importers_put_the_module_own_tests_first():
+    tests = Path(__file__).resolve().parent
+    found = [path.name for path in mutants.importers(tests, "verify_suites")]
+    assert found[0] == "test_verify_suites.py"
+    assert "test_cli.py" in found and "test_intpoly.py" not in found

@@ -128,6 +128,30 @@ def test_classifier_suite_catches_a_forged_expansion(monkeypatch):
     }
 
 
+def test_zero_range_runs_no_pairs():
+    binary = run_suite("binary", max_value=0)
+    assert binary[0].info == "0 prime pairs"
+    periodicity = run_suite("periodicity", n_values=(15,), smax=0)
+    assert periodicity[0].info == "0 prime pairs over n in [15]"
+
+
+@pytest.mark.parametrize("forged", [(2, 3, 7), (3, 4, 5)], ids=["part-2", "prime-power"])
+def test_classifier_suite_catches_a_forged_coprime_head(monkeypatch, forged):
+    # the scan head of one coprime triple that is no prime triple, its
+    # height raised by 1: only the head property reads it, and names it
+    real = verify_suites.height_record
+
+    def record(factors):
+        rec = real(factors)
+        return {**rec, "height": rec["height"] + 1} if factors == forged else rec
+
+    monkeypatch.setattr(verify_suites, "height_record", record)
+    results = run_suite("classifier-soundness", max_value=1000)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        "scan-heads-match-expansion": f"1 counterexamples, first: {forged}",
+    }
+
+
 def test_fj_suite_jobs_equivalence():
     inline = run_suite("fj", max_value=20)
     pooled = run_suite("fj", max_value=20, jobs=2)
@@ -331,6 +355,15 @@ def test_classifier_suite_catches_a_forged_verdict(monkeypatch, status):
     }
 
 
+def _reassembled(fam, split):
+    # stands in for check_fj_invariants: the members reassembled, unchecked
+    p = fam.p
+    out = [0] * (p * max(len(m.coeffs) for m in fam.members))
+    for k, m in enumerate(fam.members):
+        out[k : k + p * len(m.coeffs) : p] = m.coeffs
+    return poly(out)
+
+
 @pytest.mark.parametrize("j, off_by_phi", [(2, False), (0, False), (6, False), (2, True)])
 def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, off_by_phi):
     # One comparison of f with a*g + b*h checks every member of a pair at
@@ -346,16 +379,52 @@ def test_fj_check_chunk_names_the_member_that_breaks_f_equals_g(monkeypatch, j, 
         extra = phi(n) if off_by_phi else monomial(0)
         return _forge_members(fam, j, poly_add(fam.members[j], extra).coeffs)
 
-    def reassembled(fam, split):
-        p = fam.p
-        out = [0] * (p * max(len(m.coeffs) for m in fam.members))
-        for k, m in enumerate(fam.members):
-            out[k : k + p * len(m.coeffs) : p] = m.coeffs
-        return poly(out)
-
     monkeypatch.setattr(verify_suites, "fj_family", forged)
-    monkeypatch.setattr(verify_suites, "check_fj_invariants", reassembled)
+    monkeypatch.setattr(verify_suites, "check_fj_invariants", _reassembled)
     checked, fails = verify_suites._fj_check_chunk([(15, 7), (5, 17)])
     assert checked == 2
     assert fails["family-invariants"] == []
     assert fails["f-equals-g"] == [(15, 7, j), (5, 17, j)]
+
+
+def test_fj_check_chunk_catches_a_member_off_its_period(monkeypatch):
+    # for p > n, member j + n equals member j; member 7 of (5, 17) is forged
+    # to member 2 plus 1, and the invariant check's stand-in lets it through
+    real = verify_suites.fj_family
+
+    def forged(n, p):
+        fam = real(n, p)
+        return _forge_members(fam, 7, poly_add(fam.members[2], monomial(0)).coeffs)
+
+    monkeypatch.setattr(verify_suites, "fj_family", forged)
+    monkeypatch.setattr(verify_suites, "check_fj_invariants", _reassembled)
+    checked, fails = verify_suites._fj_check_chunk([(5, 17)])
+    assert checked == 1
+    assert fails == {
+        "family-invariants": [],
+        "f-equals-g": [(5, 17, 7)],
+        "exact-periodicity": [(5, 17)],
+        "f0-fast": [],
+        "fstar-recursion": [],
+    }
+
+
+def test_fj_suite_catches_a_rotated_shift_family(monkeypatch):
+    # the reduced shift family of (5, 7) rotated by one: each entry is still
+    # x times the one before modulo phi(5), so the recursion holds, but
+    # entry 0 is no longer member 0
+    real = verify_suites.fstar_family
+
+    def forged(n, p):
+        stars = real(n, p)
+        return stars[1:] + stars[:1] if (n, p) == (5, 7) else stars
+
+    monkeypatch.setattr(verify_suites, "fstar_family", forged)
+    results = run_suite("fj", max_value=6)
+    assert [(r.prop, r.ok, r.info) for r in results] == [
+        ("family-invariants", True, "95 (n,p) pairs"),
+        ("f-equals-g", True, "95 (n,p) pairs, every member"),
+        ("exact-periodicity", True, "91 pairs with p > n"),
+        ("f0-fast", False, "1 counterexamples, first: (5, 7)"),
+        ("fstar-recursion", True, "91 pairs with p > n"),
+    ]
