@@ -408,7 +408,7 @@ class HeightCache:
         self.path = path
         self.heights: dict[tuple, dict] = {}
         self.hits: dict[tuple, list[dict]] = {}
-        if path and os.path.exists(path):
+        if path:
             self._load()
 
     def _load(self) -> None:

@@ -1,7 +1,7 @@
 """Mutation harness: which flipped comparison or dropped append do the
 tests of one src/cycloforge module miss?
 
-    python3 tools/mutants.py verify_suites [--timeout 300]
+    python3 tools/mutants.py verify_suites
 
 It copies the repository to a temporary directory and edits only that
 copy. It parses the named module with ast and makes one mutant per site:
@@ -15,7 +15,7 @@ other byte, and every line number, stays. For each mutant it runs the test
 modules that import the module (the module's own test file first) through
 `python -m pytest -x -q -p no:cacheprovider`, one process at a time and
 with bytecode writing off, so that no stale .pyc hides a same-size edit.
-A mutant is killed when pytest fails; one that outlives the timeout is
+A mutant is killed when pytest fails; one that outlives TIMEOUT seconds is
 killed too, and counted apart. It prints the survivors as
 `line: before -> after`, then the counts and the wall time.
 
@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per pytest run
 FLIP = {
     ast.Eq: ("==", "!="),
     ast.NotEq: ("!=", "=="),
@@ -141,7 +142,7 @@ def importers(tests: Path, module: str) -> list[Path]:
     return found
 
 
-def run_tests(copy: Path, tests: list[Path], timeout: float) -> str:
+def run_tests(copy: Path, tests: list[Path]) -> str:
     """'passed', 'failed' or 'timeout'. The run gets its own session, so a
     timeout kills every process it forked."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -155,7 +156,7 @@ def run_tests(copy: Path, tests: list[Path], timeout: float) -> str:
         start_new_session=True,
     )
     try:
-        code = proc.wait(timeout=timeout)
+        code = proc.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -166,7 +167,6 @@ def run_tests(copy: Path, tests: list[Path], timeout: float) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="a module of src/cycloforge, e.g. verify_suites")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     args = parser.parse_args()
 
     t0 = time.monotonic()
@@ -180,7 +180,7 @@ def main() -> int:
             print(f"no test module imports cycloforge.{args.module}", file=sys.stderr)
             return 2
         names = ", ".join(t.name for t in tests)
-        if run_tests(copy, tests, args.timeout) != "passed":
+        if run_tests(copy, tests) != "passed":
             print(f"the unmutated tests do not pass: {names}", file=sys.stderr)
             return 2
         sites = mutants(source)
@@ -188,7 +188,7 @@ def main() -> int:
         outcomes = []
         for i, m in enumerate(sites, 1):
             target.write_bytes(apply(source, m))
-            outcome = run_tests(copy, tests, args.timeout)
+            outcome = run_tests(copy, tests)
             outcomes.append((m, outcome))
             print(f"[{i}/{len(sites)}] {outcome}: {describe(source, m)}", file=sys.stderr)
     survivors = [m for m, outcome in outcomes if outcome == "passed"]
