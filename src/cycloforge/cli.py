@@ -459,7 +459,7 @@ def _classify_cmd(factors, brute, explain):
     """Theorem-backed flatness verdict for a squarefree odd index."""
     verdict = classify(tuple(factors))
     line = f"{verdict.status.name} theorem={verdict.citation}"
-    if verdict.citation == "broadhurst-II" and verdict.detail.startswith("w="):
+    if verdict.citation == "broadhurst-II":
         line += " " + verdict.detail.split(":", 1)[0]
     if verdict.bound is not None:
         line += f" bound={verdict.bound}"

@@ -138,13 +138,14 @@ def _least_abs_residue(r: int, modulus: int) -> int:
     return w if w <= modulus // 2 else w - modulus
 
 
-def _broadhurst_w(p: int, q: int, r: int) -> int | None:
-    # smallest w >= 3 with p = 1 (mod w), q = 1 (mod pw), r = +/-w (mod pq)
-    pq = p * q
-    for w in range(3, p):
-        if (p - 1) % w == 0 and q % (p * w) == 1 and r % pq in (w, pq - w):
-            return w
-    return None
+def _pm1(a: int, m: int) -> bool:
+    # a = +/-1 (mod m)
+    return a % m in (1, m - 1)
+
+
+def _chain(fs: tuple) -> bool:
+    # every prime after the second is +/-1 modulo the product of those before it
+    return all(_pm1(fs[i], prod(fs[:i])) for i in range(2, len(fs)))
 
 
 def classify(factors) -> Verdict:
@@ -182,13 +183,14 @@ def classify(factors) -> Verdict:
                 None,
                 f"r = {w:+d} (mod {pq}) and q != 1 (mod {p}) pin the height at 2",
             )
-        wb = _broadhurst_w(p, q, r)
-        if wb is not None:
+        # Broadhurst II: r = +/-w (mod pq), p = 1 (mod w), q = 1 (mod pw).
+        # w divides p - 1, so w < pq/2 and |w| is the only candidate.
+        if (p - 1) % aw == 0 and q % (p * aw) == 1:
             return Verdict(
                 VerdictStatus.Flat,
                 "broadhurst-II",
                 None,
-                f"w={wb}: p = 1 (mod {wb}), q = 1 (mod {p * wb}), r = +/-{wb} (mod {pq})",
+                f"w={aw}: p = 1 (mod {aw}), q = 1 (mod {p * aw}), r = +/-{aw} (mod {pq})",
             )
         if r > pq and q - p < aw < q + p:
             return Verdict(
@@ -203,44 +205,25 @@ def classify(factors) -> Verdict:
             aw,
             f"height is at most |w| = {aw}; no covered rule decides flatness",
         )
-    if len(fs) == 4:
-        p, q, r, s = fs
-        pq, pqr = p * q, p * q * r
-        if r % pq in (1, pq - 1) and s % pqr in (1, pqr - 1):
-            if q % p == p - 1:
-                return Verdict(
-                    VerdictStatus.Flat,
-                    "pqrs-chain",
-                    None,
-                    f"chain congruences hold and q = -1 (mod {p})",
-                )
-            return Verdict(
-                VerdictStatus.NotFlat,
-                "pqrs-chain",
-                None,
-                f"chain congruences hold but q != -1 (mod {p})",
-            )
+    order = "quaternary" if len(fs) == 4 else "quinary"
+    if not _chain(fs):
         return Verdict(
-            VerdictStatus.TheoremSilent,
-            "none",
-            None,
-            "no covered quaternary rule applies",
+            VerdictStatus.TheoremSilent, "none", None, f"no covered {order} rule applies"
         )
-    p, q, r, s, t = fs
-    pq, pqr, pqrs = p * q, p * q * r, p * q * r * s
-    if (
-        r % pq in (1, pq - 1)
-        and s % pqr in (1, pqr - 1)
-        and t % pqrs in (1, pqrs - 1)
-    ):
+    if len(fs) == 5:
         return Verdict(
             VerdictStatus.NotFlat,
             "pqrst-chain",
             None,
             "the three chain congruences force height above 1",
         )
+    p, q = fs[:2]
+    if q % p == p - 1:
+        return Verdict(
+            VerdictStatus.Flat, "pqrs-chain", None, f"chain congruences hold and q = -1 (mod {p})"
+        )
     return Verdict(
-        VerdictStatus.TheoremSilent, "none", None, "no covered quinary rule applies"
+        VerdictStatus.NotFlat, "pqrs-chain", None, f"chain congruences hold but q != -1 (mod {p})"
     )
 
 
@@ -278,8 +261,7 @@ def _hit(
 
 def _flat_off_congruence(n, fs, height, bound):
     p, q, r = fs
-    pq = p * q
-    if height(fs) == 1 and not (q % p in (1, p - 1) or r % pq in (1, pq - 1)):
+    if height(fs) == 1 and not (_pm1(q, p) or _pm1(r, p * q)):
         yield _hit(n, fs, [1], "flat without q=+/-1 (mod p) or r=+/-1 (mod pq)")
 
 
@@ -287,14 +269,12 @@ def _broadhurst_fails(n, fs, height, bound, pseudo: bool):
     p, q, r = fs
     if height(fs) != 1:
         return
-    pq = p * q
-    wr = r % pq
-    w = min(wr, pq - wr)
-    if w == 0 or (p - 1) % w == 0:
+    w = abs(_least_abs_residue(r, p * q))
+    if (p - 1) % w == 0:
         return
-    ok = w > p and q > p * p - p and q % p in (1, p - 1) and w % p in (1, p - 1)
+    ok = w > p and q > p * p - p and _pm1(q, p) and _pm1(w, p)
     if ok and w % p == 1:
-        bad = q % (w * p) == 1 if pseudo else q % (w * p) in (1, w * p - 1)
+        bad = q % (w * p) == 1 if pseudo else _pm1(q, w * p)
         ok = not bad
     if not ok:
         verdict = f"flat with w={w}, p!=1 (mod w), but a stated conclusion fails"
@@ -302,9 +282,8 @@ def _broadhurst_fails(n, fs, height, bound, pseudo: bool):
 
 
 def _flat_off_chain(n, fs, height, bound):
-    p, q, r, s = fs
-    pq, pqr = p * q, p * q * r
-    chain = q % p == p - 1 and r % pq in (1, pq - 1) and s % pqr in (1, pqr - 1)
+    p, q = fs[:2]
+    chain = q % p == p - 1 and _chain(fs)
     if height(fs) == 1 and not chain:
         yield _hit(n, fs, [1], "flat quaternary without the full congruence chain")
 

@@ -201,3 +201,12 @@ def test_registry_gives_the_pseudo_broadhurst_test_its_own_conclusion():
     n, fs = 3 * 11 * 37, (3, 11, 37)
     assert len(list(flatness._TAGS["broadhurst3"].test(n, fs, flat, n))) == 1
     assert list(flatness._TAGS["pseudobroadhurst3"].test(n, fs, flat, n)) == []
+
+
+def test_pqrsallflat_spares_only_the_chain_with_q_minus_1():
+    # both quadruples satisfy the chain; only 3*5*31*929 has q = -1 (mod p),
+    # so a flat 3*7*41*1721 is a hit. Both lie past the scanned bounds.
+    flat = lambda fs: 1  # noqa: E731
+    test = flatness._TAGS["pqrsallflat"].test
+    assert list(test(431985, (3, 5, 31, 929), flat, 431985)) == []
+    assert len(list(test(1481781, (3, 7, 41, 1721), flat, 1481781))) == 1

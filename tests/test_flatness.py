@@ -15,7 +15,7 @@ from math import prod
 import pytest
 
 from cycloforge import flatness
-from cycloforge._numtheory import factorize, primes_up_to
+from cycloforge._numtheory import factorize, is_prime, primes_up_to
 from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_product
 from cycloforge.domains import chain4, coprime_tuples, prime_tuples
 from cycloforge.errors import (
@@ -231,6 +231,40 @@ def test_classify_golden_verdicts():
     assert classify(()).status is VerdictStatus.Flat
     assert classify((7,)).citation == "order<=2"
     assert classify((11, 13)).status is VerdictStatus.Flat
+
+
+def test_classify_cites_broadhurst_ii_on_its_whole_small_domain():
+    # enumerated by the theorem's congruences, not by classify: w >= 3,
+    # p = 1 (mod w), q = 1 (mod pw), r = +/-w (mod pq), all prime, n <= 3e6;
+    # n > p*q*q > p^3*w^2 > (w+1)^3*w^2 ends each loop
+    bound = 3 * 10**6
+    members = set()
+    w = 3
+    while (w + 1) ** 3 * w * w <= bound:
+        for p in range(w + 1, bound, w):
+            if p**3 * w * w > bound:
+                break
+            if not is_prime(p):
+                continue
+            for q in range(p * w + 1, bound, p * w):
+                if p * q * q > bound:
+                    break
+                if not is_prime(q):
+                    continue
+                pq = p * q
+                for k in range(1, bound // (pq * pq) + 2):
+                    for r in (k * pq - w, k * pq + w):
+                        if q < r and pq * r <= bound and is_prime(r):
+                            members.add((w, p, q, r))
+        w += 1
+    assert len(members) == 68
+    assert min(members, key=lambda m: (m[1], prod(m[1:]))) == (4, 5, 41, 619)
+    assert min(members, key=lambda m: prod(m[1:])) == (6, 7, 43, 307)
+    for w, *fs in members:
+        v = classify(fs)
+        assert v.citation == "broadhurst-II", fs
+        assert v.status is VerdictStatus.Flat, fs
+        assert v.detail.startswith(f"w={w}:"), fs
 
 
 def test_classify_brute_confirms_spot_cases():

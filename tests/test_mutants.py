@@ -1,7 +1,8 @@
-"""The mutation harness in tools/mutants.py: its sites and its edits."""
+"""The mutation harness in tools/mutants.py: its sites, its edits and its time limit."""
 
 import ast
 import importlib.util
+import time
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
@@ -42,3 +43,10 @@ def test_importers_put_the_module_own_tests_first():
     found = [path.name for path in mutants.importers(tests, "verify_suites")]
     assert found[0] == "test_verify_suites.py"
     assert "test_cli.py" in found and "test_intpoly.py" not in found
+
+
+def test_a_run_past_its_limit_is_a_timeout(tmp_path):
+    (tmp_path / "test_slow.py").write_text("import time\n\n\ndef test_slow():\n    time.sleep(60)\n")
+    t0 = time.monotonic()
+    assert mutants.run_tests(tmp_path, [tmp_path / "test_slow.py"], limit=2.0) == "timeout"
+    assert time.monotonic() - t0 < 30

@@ -15,9 +15,9 @@ other byte, and every line number, stays. For each mutant it runs the test
 modules that import the module (the module's own test file first) through
 `python -m pytest -x -q -p no:cacheprovider`, one process at a time and
 with bytecode writing off, so that no stale .pyc hides a same-size edit.
-A mutant is killed when pytest fails; one that outlives TIMEOUT seconds is
-killed too, and counted apart. It prints the survivors as
-`line: before -> after`, then the counts and the wall time.
+A mutant is killed when pytest fails; one whose run outlives SLOWDOWN times
+the unmutated run is killed too, and counted apart. It prints the survivors
+as `line: before -> after`, then the counts and the wall time.
 
 Stdlib only, besides pytest itself.
 """
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 300.0  # seconds per pytest run
+SLOWDOWN = 3  # a mutant's run may take this many times the unmutated run
 FLIP = {
     ast.Eq: ("==", "!="),
     ast.NotEq: ("!=", "=="),
@@ -142,9 +142,9 @@ def importers(tests: Path, module: str) -> list[Path]:
     return found
 
 
-def run_tests(copy: Path, tests: list[Path]) -> str:
-    """'passed', 'failed' or 'timeout'. The run gets its own session, so a
-    timeout kills every process it forked."""
+def run_tests(copy: Path, tests: list[Path], limit: float | None = None) -> str:
+    """'passed', 'failed' or 'timeout' after limit seconds (None: no limit).
+    The run gets its own session, so a timeout kills every process it forked."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     proc = subprocess.Popen(
@@ -156,7 +156,7 @@ def run_tests(copy: Path, tests: list[Path]) -> str:
         start_new_session=True,
     )
     try:
-        code = proc.wait(timeout=TIMEOUT)
+        code = proc.wait(timeout=limit)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -180,15 +180,17 @@ def main() -> int:
             print(f"no test module imports cycloforge.{args.module}", file=sys.stderr)
             return 2
         names = ", ".join(t.name for t in tests)
+        clean = time.monotonic()
         if run_tests(copy, tests) != "passed":
             print(f"the unmutated tests do not pass: {names}", file=sys.stderr)
             return 2
+        limit = SLOWDOWN * (time.monotonic() - clean)
         sites = mutants(source)
         print(f"{args.module}: {len(sites)} mutants against {names}", file=sys.stderr)
         outcomes = []
         for i, m in enumerate(sites, 1):
             target.write_bytes(apply(source, m))
-            outcome = run_tests(copy, tests)
+            outcome = run_tests(copy, tests, limit)
             outcomes.append((m, outcome))
             print(f"[{i}/{len(sites)}] {outcome}: {describe(source, m)}", file=sys.stderr)
     survivors = [m for m, outcome in outcomes if outcome == "passed"]
