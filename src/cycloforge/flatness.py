@@ -231,16 +231,14 @@ def classify(factors) -> Verdict:
 # conjecture scans
 
 
-def height_record(factors: tuple) -> dict:
-    """The journal record of one scanned polynomial: the inclusion-exclusion
-    polynomial of the ascending parts (all > 1), which is phi of their
-    product when they are distinct primes. It is palindromic, so the height
-    is read off the lower half of the expansion."""
+def height_record(factors: tuple, height: int) -> dict:
+    """The journal record of the inclusion-exclusion polynomial of the
+    ascending parts (all > 1), phi of their product for distinct primes."""
     return {
         "n": prod(factors),
         "factors": list(factors),
         "degree": prod(q - 1 for q in factors),
-        "height": signed_subset_head(tuple(factors)).height,
+        "height": height,
     }
 
 
@@ -351,20 +349,21 @@ _TAGS = {
 SCAN_TAGS = tuple(_TAGS)
 
 
-def _scan_chunk(desc: tuple) -> tuple:
+def _scan_chunk(desc: tuple, known: dict) -> tuple:
     tag, lo, hi, bound = desc
     spec = _TAGS[tag]
-    records: dict[tuple, dict] = {}
+    fresh: dict[tuple, int] = {}
 
     def height(factors: tuple) -> int:
-        if factors not in records:
-            records[factors] = height_record(factors)
-        return records[factors]["height"]
+        h = known.get(factors) or fresh.get(factors)
+        if h is None:
+            h = fresh[factors] = signed_subset_head(factors).height
+        return h
 
     hits = [
         hit for n, fs in spec.domain(lo, hi) for hit in spec.test(n, fs, height, bound)
     ]
-    return lo, hi, list(records.values()), hits
+    return lo, hi, fresh, hits
 
 
 def _chunk_key(tag: str, bound: int, lo: int, hi: int) -> tuple:
@@ -380,22 +379,23 @@ def _chunk_key(tag: str, bound: int, lo: int, hi: int) -> tuple:
 class HeightCache:
     """JSON-lines journal: one record per polynomial plus chunk markers
     and recorded hits. One scan call owns a store; workers stay pure.
-    hits maps each chunk the journal marks done, keyed by _chunk_key, to
-    its hits, so a larger bound reuses the windows a smaller one finished."""
+    heights maps each record's factors to its height, which later chunks
+    read; hits maps each done chunk, keyed by _chunk_key, to its hits, so
+    a larger bound reuses the windows a smaller one finished."""
 
     def __init__(self, path: str | None):
         self.path = path
-        self.heights: dict[tuple, dict] = {}
+        self.heights: dict[tuple, int] = {}
         self.hits: dict[tuple, list[dict]] = {}
         if path:
             self._load()
 
     def _load(self) -> None:
-        # Hits are grouped under the bound they were written with, and by
-        # line: a window done under several bounds, or a torn chunk's hit
-        # and its rerun's, count once. A line that parses but is no entry is
-        # an error, not skipped: a dropped hit under an intact chunk_done
-        # would lose it. A hit needs the keys the report, CSV and replay read.
+        # Hits are grouped under the bound they were written with, and by line:
+        # a window done under several bounds, or a torn chunk's hit and its
+        # rerun's, count once. A line that parses but is no entry is an error,
+        # not skipped: a dropped hit under an intact chunk_done would lose it. A
+        # hit needs the keys the report, CSV and replay read; a record, an int height > 0.
         import json
 
         pending: dict[tuple, dict[str, dict]] = {}
@@ -421,23 +421,25 @@ class HeightCache:
                             raise KeyError(line)
                         pending.setdefault(key, {})[line] = obj["hit"]
                     elif "n" in obj:
-                        self.heights[tuple(obj["factors"])] = obj
+                        if type(h := obj["height"]) is not int or h < 1:
+                            raise ValueError(line)
+                        self.heights[tuple(obj["factors"])] = h
                     else:
                         raise KeyError(line)
                 except (AttributeError, KeyError, TypeError, ValueError):
                     raise ValueError(f"{self.path}, line {number}: not a journal entry") from None
 
     def record_chunk(
-        self, tag: str, bound: int, lo: int, hi: int, records: list, hits: list
+        self, tag: str, bound: int, lo: int, hi: int, heights: dict, hits: list
     ) -> None:
         if self.path is None:
             return
         import json
 
-        fresh = [r for r in records if tuple(r["factors"]) not in self.heights]
-        for r in fresh:
-            self.heights[tuple(r["factors"])] = r
-        lines = [json.dumps(r) for r in fresh]
+        # two forked chunks can compute the same height; it is written once
+        fresh = {fs: h for fs, h in heights.items() if fs not in self.heights}
+        self.heights.update(fresh)
+        lines = [json.dumps(height_record(fs, h)) for fs, h in fresh.items()]
         lines += [
             json.dumps({"hit": h, "conjecture": tag, "bound": bound, "chunk": [lo, hi]})
             for h in hits
@@ -607,8 +609,10 @@ def scan(
             hits.extend(store.hits[key])
         else:
             descs.append((conjecture, lo, hi, bound))
-    for lo, hi, records, chunk_hits in fork_map(_scan_chunk, descs, workers):
-        store.record_chunk(conjecture, bound, lo, hi, records, chunk_hits)
+    # one worker maps lazily, so each chunk reads the heights journalled before it
+    chunk = partial(_scan_chunk, known=store.heights)
+    for lo, hi, heights, chunk_hits in fork_map(chunk, descs, workers):
+        store.record_chunk(conjecture, bound, lo, hi, heights, chunk_hits)
         hits.extend(chunk_hits)
     hits.sort(key=lambda rec: (rec["n"], rec.get("p", 0), rec["factors"]))
     return ScanReport(conjecture, (1, bound), hits, time.monotonic() - t0)

@@ -341,7 +341,7 @@ def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
 
 
 def _head_record_ok(factors: tuple, f) -> bool:
-    rec = height_record(factors)
+    rec = height_record(factors, signed_subset_head(factors).height)
     return rec["height"] == poly_height(f) and rec["degree"] == f.degree
 
 

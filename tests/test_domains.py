@@ -191,7 +191,7 @@ def test_every_tag_scans_the_same_in_one_window_and_many(tag, tmp_path):
     pseudo = tag.startswith("pseudo")
     for fs in list(one.heights)[:40]:
         f = signed_subset_product(fs) if pseudo else phi(prod(fs), PhiAlgorithm.SparseSeries)
-        assert one.heights[fs]["height"] == poly_height(f), (tag, fs)
+        assert one.heights[fs] == poly_height(f), (tag, fs)
 
 
 def test_registry_gives_the_pseudo_broadhurst_test_its_own_conclusion():

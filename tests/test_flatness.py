@@ -16,7 +16,7 @@ import pytest
 
 from cycloforge import flatness
 from cycloforge._numtheory import factorize, is_prime, primes_up_to
-from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_product
+from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
 from cycloforge.domains import chain4, coprime_tuples, prime_tuples
 from cycloforge.errors import (
     NotSortedDistinctOddPrimes,
@@ -208,7 +208,7 @@ def test_height_record_matches_full_expansion():
     cases += [(fs, True) for _, fs in coprime_tuples(3, 1, 1500, odd_only=True)]
     cases += [(fs, True) for _, fs in coprime_tuples(3, 1, 600)]
     for factors, pseudo in cases:
-        got = height_record(factors)
+        got = height_record(factors, signed_subset_head(factors).height)
         assert json.dumps(got) == json.dumps(_full_record(factors, pseudo)), factors
     assert len(cases) > 1300
 
@@ -386,10 +386,10 @@ def test_np_scans_empty_small(tmp_path):
     journal = str(tmp_path / "scan.jsonl")
     rep = scan("np_stays_nonflat", 4000, cache=journal)
     assert rep.counterexamples == []
-    store = HeightCache(journal)
-    assert (3, 5, 7) in store.heights
-    assert store.heights[(3, 5, 7)]["height"] == 2
-    assert store.heights[(3, 5, 7)]["degree"] == 48
+    assert HeightCache(journal).heights[(3, 5, 7)] == 2
+    with open(journal, encoding="utf-8") as fh:
+        records = [obj for obj in map(json.loads, fh) if obj.get("factors") == [3, 5, 7]]
+    assert records == [{"n": 105, "factors": [3, 5, 7], "degree": 48, "height": 2}]
     assert scan("np_monotonic_p5", 6000).counterexamples == []
 
 
@@ -502,14 +502,30 @@ def _hit_line(hit):
         "[]",
         _hit_line(5) + "\n" + _MARKER,
         _hit_line('{"n": 5}') + "\n" + _MARKER,
+        '{"n": 105, "factors": [3, 5, 7], "degree": 48, "height": "2"}',
+        '{"n": 105, "factors": [3, 5, 7], "degree": 48, "height": true}',
+        '{"n": 105, "factors": [3, 5, 7], "degree": 48, "height": 0}',
+        '{"n": 105, "factors": [3, 5, 7], "degree": 48}',
     ],
-    ids=["number", "marker-without-tag", "string", "list", "hit-number", "hit-without-keys"],
+    ids=[
+        "number",
+        "marker-without-tag",
+        "string",
+        "list",
+        "hit-number",
+        "hit-without-keys",
+        "height-string",
+        "height-true",
+        "height-zero",
+        "height-missing",
+    ],
 )
 def test_scan_journal_line_that_is_no_entry_is_an_error(tmp_path, line):
     # a line that parses but is no journal entry stops the load with one
     # error line: skipped, a dropped hit under an intact chunk marker would
     # be lost. A hit that is no record of the keys the report reads is no
-    # entry either, even with its chunk marker after it.
+    # entry either, even with its chunk marker after it, and a record needs
+    # the positive int height that later chunks read.
     from click.testing import CliRunner
 
     from cycloforge.cli import main
@@ -519,10 +535,41 @@ def test_scan_journal_line_that_is_no_entry_is_an_error(tmp_path, line):
     number = len(journal.read_text(encoding="utf-8").splitlines()) + 1
     with open(journal, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
+    message = f"{journal}, line {number}: not a journal entry"
+    with pytest.raises(ValueError) as err:
+        HeightCache(str(journal))
+    assert str(err.value) == message
     argv = ["scan", "--conjecture", "notflat", "--bound", "100", "--cache", str(journal)]
     r = CliRunner().invoke(main, argv)
     assert (r.exit_code, r.stdout) == (1, "")
-    assert r.stderr == f"error: {journal}, line {number}: not a journal entry\n"
+    assert r.stderr == f"error: {message}\n"
+
+
+def test_journalled_heights_are_read_not_recomputed(monkeypatch, tmp_path):
+    computed = []
+    real = flatness.signed_subset_head
+    monkeypatch.setattr(
+        flatness, "signed_subset_head", lambda fs: computed.append(fs) or real(fs)
+    )
+    # broadhurst3 enumerates the prime triples that notflat journalled
+    journal = str(tmp_path / "shared.jsonl")
+    scan("notflat", 5000, cache=journal)
+    computed.clear()
+    rep = scan("broadhurst3", 5000, cache=journal)
+    assert computed == []
+    assert rep.counterexamples == scan("broadhurst3", 5000).counterexamples
+    # the extend reads the heights of the half scan's partial last window
+    cold = str(tmp_path / "cold.jsonl")
+    computed.clear()
+    scan("height_drop_p3", 5000, cache=cold)
+    heads = set(computed)
+    assert len(heads) == len(computed)
+    half = str(tmp_path / "half.jsonl")
+    scan("height_drop_p3", 2500, cache=half)
+    journalled = set(HeightCache(half).heights)
+    computed.clear()
+    scan("height_drop_p3", 5000, cache=half)
+    assert sorted(computed) == sorted(heads - journalled)
 
 
 def test_scan_workers_pool_matches_inline(tmp_path):
@@ -637,10 +684,10 @@ def test_scan_worker_error_is_raised_and_children_reaped(monkeypatch, tmp_path, 
     # 5; the windows before the failing one are journalled as they arrive
     real = flatness._scan_chunk
 
-    def chunk(desc):
+    def chunk(desc, known):
         if desc[1] == failing_lo:
             raise RemainderNonzero(f"window at {failing_lo}")
-        return real(desc)
+        return real(desc, known)
 
     monkeypatch.setattr(flatness, "_scan_chunk", chunk)
     journal = tmp_path / "scan.jsonl"
@@ -738,13 +785,13 @@ def test_scan_hit_is_reported_journalled_and_labelled(monkeypatch, tmp_path, tag
     # one item's height is forged so that it breaks the tag; the hit must
     # reach the report, the journal and the CSV, and replay must catch it
     bound, height, hit = FORGED_HITS[tag]
-    real = flatness.height_record
+    real = flatness.signed_subset_head
 
-    def record(factors):
-        rec = real(factors)
-        return {**rec, "height": height} if tuple(factors) == forged else rec
+    def head(factors):
+        got = real(factors)
+        return got._replace(height=height) if factors == forged else got
 
-    monkeypatch.setattr(flatness, "height_record", record)
+    monkeypatch.setattr(flatness, "signed_subset_head", head)
     journal = tmp_path / "scan.jsonl"
     rep = scan(tag, bound, cache=str(journal), chunk_width=bound)
     assert rep.counterexamples == [hit]
@@ -763,7 +810,9 @@ def test_scan_reuses_windows_of_a_smaller_bound(monkeypatch, tmp_path):
     computed = []
     real = flatness._scan_chunk
     monkeypatch.setattr(
-        flatness, "_scan_chunk", lambda desc: computed.append(desc[1:3]) or real(desc)
+        flatness,
+        "_scan_chunk",
+        lambda desc, known: computed.append(desc[1:3]) or real(desc, known),
     )
     journal = str(tmp_path / "cache.jsonl")
     scan("pqrstnotflat", 20000, cache=journal)

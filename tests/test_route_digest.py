@@ -11,7 +11,7 @@ import hashlib
 import json
 
 from cycloforge._numtheory import primes_up_to
-from cycloforge.cyclotomic import psi
+from cycloforge.cyclotomic import psi, signed_subset_head
 from cycloforge.domains import coprime_tuples, prime_tuples
 from cycloforge.fjdecomp import bezout_split, fstar_shifts
 from cycloforge.flatness import coefficient_set_of, height_of, height_record
@@ -69,9 +69,9 @@ def _width_lines():
     for _, parts in coprime_tuples(3, 1, 600):
         yield f"pseudo_phi {parts!r}: {to_text(pseudo_phi(parts))}"
     for _, fs in prime_tuples(3, 1, 8000):
-        yield json.dumps(height_record(fs))
+        yield json.dumps(height_record(fs, signed_subset_head(fs).height))
     for _, fs in coprime_tuples(3, 1, 3300, odd_only=True):
-        yield json.dumps(height_record(fs))
+        yield json.dumps(height_record(fs, signed_subset_head(fs).height))
 
 
 def test_proved_widths_keep_their_bytes():

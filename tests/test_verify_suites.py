@@ -139,13 +139,13 @@ def test_zero_range_runs_no_pairs():
 def test_classifier_suite_catches_a_forged_coprime_head(monkeypatch, forged):
     # the scan head of one coprime triple that is no prime triple, its
     # height raised by 1: only the head property reads it, and names it
-    real = verify_suites.height_record
+    real = verify_suites.signed_subset_head
 
-    def record(factors):
-        rec = real(factors)
-        return {**rec, "height": rec["height"] + 1} if factors == forged else rec
+    def head(factors):
+        got = real(factors)
+        return got._replace(height=got.height + 1) if factors == forged else got
 
-    monkeypatch.setattr(verify_suites, "height_record", record)
+    monkeypatch.setattr(verify_suites, "signed_subset_head", head)
     results = run_suite("classifier-soundness", max_value=1000)
     assert {r.prop: r.info for r in results if not r.ok} == {
         "scan-heads-match-expansion": f"1 counterexamples, first: {forged}",
@@ -308,13 +308,13 @@ def test_fj_suite_catches_a_broken_shift_recursion(monkeypatch):
 def test_paper_table_catches_wrong_drop_rows(monkeypatch):
     # A(4745) = A(5 * 13 * 73) forged from 3 down to 2, A(3 * 4745): the
     # drop is gone, so the scan returns no row and replays nothing
-    real = flatness.height_record
+    real = flatness.signed_subset_head
 
-    def record(factors):
-        rec = real(factors)
-        return {**rec, "height": 2} if tuple(factors) == (5, 13, 73) else rec
+    def head(factors):
+        got = real(factors)
+        return got._replace(height=2) if factors == (5, 13, 73) else got
 
-    monkeypatch.setattr(flatness, "height_record", record)
+    monkeypatch.setattr(flatness, "signed_subset_head", head)
     results = run_suite("paper-table", max_value=5000)
     assert [(r.ok, r.info) for r in results] == [
         (False, "1 counterexamples, first: {'expected': [(4745, 3, 2)], 'got': []}")

@@ -15,9 +15,13 @@ other byte, and every line number, stays. For each mutant it runs the test
 modules that import the module (the module's own test file first) through
 `python -m pytest -x -q -p no:cacheprovider`, one process at a time and
 with bytecode writing off, so that no stale .pyc hides a same-size edit.
-A mutant is killed when pytest fails; one whose run outlives SLOWDOWN times
-the unmutated run is killed too, and counted apart. It prints the survivors
-as `line: before -> after`, then the counts and the wall time.
+A run passes only when pytest exits 0 and its own junit report counts at
+least one test and no failure or error, so a mutant that makes pytest leave
+early through os._exit(0) is killed. A mutant is killed when its run does
+not pass; one whose run outlives SLOWDOWN times the unmutated run is killed
+too, and counted apart. It prints the survivors as `line: before -> after`,
+those the EQUIVALENT ledger lists apart from the others, then the counts and
+the wall time.
 
 Stdlib only, besides pytest itself.
 """
@@ -33,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,6 +56,20 @@ FLIP = {
     ast.IsNot: ("is not", "is"),
 }
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench-work")
+
+# Survivors that no test can kill, by module:line: the comparison the site
+# holds, and why flipping it changes no value. Each flips a switch between
+# two routes that compute the same value; only a benchmark can see them.
+EQUIVALENT = {
+    "cyclotomic:135": (
+        "len(c) < 32 * period",
+        "_series_accumulate's block pass and residue-class pass give the same sums",
+    ),
+    "cyclotomic:231": (
+        "height > _COUNTED",
+        "_byte_scan's one sum(u) and its per-value counts give the same value at 1",
+    ),
+}
 
 
 class Mutant(NamedTuple):
@@ -111,6 +130,16 @@ def apply(source: bytes, m: Mutant) -> bytes:
     return source[: m.start] + m.after + source[m.end :]
 
 
+def comparisons(source: bytes, line: int) -> list[str]:
+    """The source text of each comparison that starts on the line."""
+    text = source.decode()
+    return [
+        ast.get_source_segment(text, node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and node.lineno == line
+    ]
+
+
 def describe(source: bytes, m: Mutant) -> str:
     starts = _offsets(source)
     line_start = starts[m.line - 1]
@@ -142,26 +171,66 @@ def importers(tests: Path, module: str) -> list[Path]:
     return found
 
 
+def _report_passed(report: Path) -> bool:
+    # pytest's own count: at least one test, and no failure or error
+    try:
+        suites = list(ET.parse(report).getroot().iter("testsuite"))
+    except (OSError, ET.ParseError):
+        return False
+    tests, failures, errors = (
+        sum(int(s.get(key, 0)) for s in suites) for key in ("tests", "failures", "errors")
+    )
+    return tests > 0 and failures == errors == 0
+
+
 def run_tests(copy: Path, tests: list[Path], limit: float | None = None) -> str:
     """'passed', 'failed' or 'timeout' after limit seconds (None: no limit).
-    The run gets its own session, so a timeout kills every process it forked."""
+    It passes only when pytest exits 0 and the junit report it writes to a
+    fresh path says so. The run gets its own session, and every process
+    left in it is killed when the run ends, so no stray fork outlives it."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    proc = subprocess.Popen(
-        argv + [str(t.relative_to(copy)) for t in tests],
-        cwd=copy,
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-        start_new_session=True,
-    )
-    try:
-        code = proc.wait(timeout=limit)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
+    with tempfile.TemporaryDirectory(prefix="junit-") as tmp:
+        report = Path(tmp) / "report.xml"
+        proc = subprocess.Popen(
+            argv + [f"--junitxml={report}"] + [str(t.relative_to(copy)) for t in tests],
+            cwd=copy,
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            code = proc.wait(timeout=limit)
+        except subprocess.TimeoutExpired:
+            code = None
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the session had no process left
         proc.wait()
-        return "timeout"
-    return "passed" if code == 0 else "failed"
+        if code is None:
+            return "timeout"
+        return "passed" if code == 0 and _report_passed(report) else "failed"
+
+
+def summary(module: str, source: bytes, outcomes: list, seconds: float) -> list[str]:
+    """The survivors, the ones the EQUIVALENT ledger lists after the rest,
+    then one line of counts."""
+    survivors = [m for m, outcome in outcomes if outcome == "passed"]
+    listed = [m for m in survivors if f"{module}:{m.line}" in EQUIVALENT]
+    lines = [describe(source, m) for m in survivors if m not in listed]
+    lines += [
+        f"equivalent, {EQUIVALENT[f'{module}:{m.line}'][1]}: {describe(source, m)}"
+        for m in listed
+    ]
+    timeouts = sum(outcome == "timeout" for _, outcome in outcomes)
+    lines.append(
+        f"{module}: {len(outcomes)} mutants, "
+        f"{len(outcomes) - len(survivors)} killed ({timeouts} by timeout), "
+        f"{len(survivors)} survivors ({len(listed)} listed as equivalent), {seconds:.0f} s"
+    )
+    return lines
 
 
 def main() -> int:
@@ -193,15 +262,8 @@ def main() -> int:
             outcome = run_tests(copy, tests, limit)
             outcomes.append((m, outcome))
             print(f"[{i}/{len(sites)}] {outcome}: {describe(source, m)}", file=sys.stderr)
-    survivors = [m for m, outcome in outcomes if outcome == "passed"]
-    timeouts = sum(outcome == "timeout" for _, outcome in outcomes)
-    for m in survivors:
-        print(describe(source, m))
-    print(
-        f"{args.module}: {len(outcomes)} mutants, "
-        f"{len(outcomes) - len(survivors)} killed ({timeouts} by timeout), "
-        f"{len(survivors)} survivors, {time.monotonic() - t0:.0f} s"
-    )
+    for line in summary(args.module, source, outcomes, time.monotonic() - t0):
+        print(line)
     return 0
 
 
