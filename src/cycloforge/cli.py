@@ -42,7 +42,7 @@ from .flatness import (
     report_csv_rows,
     scan as _scan,
 )
-from .intpoly import IntPolynomial, to_json_coeffs, to_text
+from .intpoly import IntPolynomial, to_json_coeffs, to_text, write_text
 from .pseudocyclo import pseudo_factorization, pseudo_phi, pseudo_psi
 from .verify_suites import SUITE_NAMES, run_suite
 
@@ -84,19 +84,24 @@ def _command(name: str, *opts: _Opt, exclusive: tuple[str, ...] = ()):
     return register
 
 
-def echo(text: str, err: bool = False) -> None:
+def echo(line, err: bool = False) -> None:
     """Write one line to the current stdout (stderr if err) and flush, as
-    click.echo does; the flush keeps a broken pipe inside _guarded. Click
-    re-wraps a stream that is not UTF-8, so such a stream goes through
-    click.echo itself."""
+    click.echo does; the flush keeps a broken pipe inside _guarded. The line
+    is a str, or a function that writes it in pieces to the write it is
+    given. Click re-wraps a stream that is not UTF-8, so such a stream gets
+    the joined line through click.echo itself."""
     stream = sys.stderr if err else sys.stdout
     encoding = getattr(stream, "encoding", None)
+    write_line = line if callable(line) else lambda write: write(line)
     if not encoding or codecs.lookup(encoding).name != "utf-8":
         import click
 
-        click.echo(text, err=err)
+        pieces: list[str] = []
+        write_line(pieces.append)
+        click.echo("".join(pieces), err=err)
         return
-    stream.write(text + "\n")
+    write_line(stream.write)
+    stream.write("\n")
     stream.flush()
 
 
@@ -167,8 +172,9 @@ def _parse(argv: list[str]):
 
 
 def _guarded(run, timing: bool, exit):
-    """Run a command: a domain error prints one line and exits 1, a closed
-    stdout exits 1 quietly, and --timing reports on stderr either way."""
+    """Run a command: a domain error or a MemoryError prints one line and
+    exits 1, a closed stdout exits 1 quietly, and --timing reports on
+    stderr either way."""
     t0 = time.perf_counter()
     try:
         return run()
@@ -180,6 +186,9 @@ def _guarded(run, timing: bool, exit):
         exit(1)
     except (CycloforgeError, ValueError, OSError) as exc:
         echo(f"error: {exc}", err=True)
+        exit(1)
+    except MemoryError:
+        echo("error: out of memory", err=True)
         exit(1)
     finally:
         if timing:
@@ -289,10 +298,12 @@ def _emit_poly(body, fmt: str, extra: dict | None = None, offset: int = 0) -> No
     if offset > 0:
         body, offset = IntPolynomial((0,) * offset + body.coeffs), 0
     if fmt == "coeffs":
-        text = to_text(body)
-        if offset:
-            text = f"offset={offset} {text}"
-        echo(text)
+        def line(write):
+            if offset:
+                write(f"offset={offset} ")
+            write_text(body, write)
+
+        echo(line)
     elif fmt == "json":
         obj = dict(extra or {})
         if offset:

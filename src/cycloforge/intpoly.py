@@ -285,11 +285,24 @@ def extract_residue(a: IntPolynomial, m: int, j: int) -> IntPolynomial:
     return IntPolynomial(a.coeffs[j::m])
 
 
+_CHUNK = 8192  # coefficients per piece of write_text
+
+
+def write_text(a: IntPolynomial, write) -> None:
+    """The canonical text, passed to write in one piece per _CHUNK
+    coefficients, so that no more than one piece is held at a time."""
+    c = a.coeffs
+    if not c:
+        write("0")
+    for i in range(0, len(c), _CHUNK):
+        write((" " if i else "") + " ".join(map(str, c[i : i + _CHUNK])))
+
+
 def to_text(a: IntPolynomial) -> str:
     """Canonical text: space-separated coefficients, degree 0 first."""
-    if not a.coeffs:
-        return "0"
-    return " ".join(str(c) for c in a.coeffs)
+    pieces: list[str] = []
+    write_text(a, pieces.append)
+    return "".join(pieces)
 
 
 _I64_MAX = 2**63

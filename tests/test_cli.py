@@ -510,29 +510,35 @@ def test_strict_parser_declines(argv):
     assert cli._parse(argv) is None
 
 
-def _cli_process(args: str):
+def _cli_env(**extra: str) -> dict:
     import os
-    import shlex
-    import subprocess
-    import sys
 
     import cycloforge
 
     # run the package under test, not whatever `cycloforge` script is on
     # PATH (a checkout has none): put its parent directory first on the
-    # child's PYTHONPATH and start it with this interpreter
+    # child's PYTHONPATH
     pkg_root = os.path.dirname(os.path.dirname(cycloforge.__file__))
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _cli_process(args: str, text: bool = True, **env: str):
+    import shlex
+    import subprocess
+    import sys
+
+    # a shell line, so a pipe can follow; started with this interpreter
     return subprocess.run(
         f"{shlex.quote(sys.executable)} -m cycloforge.cli {args}",
         shell=True,
         capture_output=True,
-        text=True,
+        text=text,
         timeout=30,
-        env=env,
+        env=_cli_env(**env),
     )
 
 
@@ -601,3 +607,96 @@ def test_broken_pipe_before_first_write_exits_quietly():
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert proc.stderr == ""
+
+
+def test_broken_pipe_in_the_middle_of_the_stream():
+    # phi(290895) prints about 450KB in many pieces; head leaves after the
+    # first 100000 bytes, and those are the full line's
+    from cycloforge.cyclotomic import phi
+
+    proc = _cli_process("phi --n 290895 | head -c 100000", text=False)
+    full = (to_text(phi(290895)) + "\n").encode()
+    assert len(full) > 100000
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, full[:100000], b"")
+
+
+@pytest.mark.parametrize(
+    "encoding, args, code, stdout, stderr",
+    [
+        # click writes UTF-8 bytes to an ASCII stdout
+        ("ascii", "--format pretty", 0,
+         "x⁸ - x⁷ + x⁵ - x⁴ + x³ - x + 1\n".encode(), b""),
+        ("latin-1", "", 0, b"1 -1 0 1 -1 1 0 -1 1\n", b""),
+        ("latin-1", "--format pretty", 1, b"",
+         b"error: 'latin-1' codec can't encode character '\\u2078' in position 1: "
+         b"ordinal not in range(256)\n"),
+    ],
+)
+def test_stdout_bytes_on_a_stream_that_is_not_utf8(encoding, args, code, stdout, stderr):
+    proc = _cli_process(f"phi --n 15 {args}", text=False, PYTHONIOENCODING=encoding)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+def test_coeffs_output_holds_a_bounded_amount_of_memory(monkeypatch):
+    # phi(290895) has 134401 coefficients; printing them, once phi is
+    # computed, must not hold their whole text
+    import io
+    import sys
+    import tracemalloc
+
+    from cycloforge.cyclotomic import phi
+
+    class Sink(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, b):
+            return len(b)
+
+    phi(290895)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Sink(), encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            main(["phi", "--n", "290895"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_.value.code == 0
+    assert peak < 2 * 2**20
+
+
+def test_out_of_memory_is_one_line(runner, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "height_of", exhausted)
+    r = runner.invoke(main, ["height", "--factors", "3,5,7"])
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", "error: out of memory\n")
+
+
+def _capped(argv: list[str], cap: int):
+    import resource
+    import subprocess
+    import sys
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "cycloforge.cli", *argv], capture_output=True,
+        timeout=30, env=_cli_env(), preexec_fn=limit,
+    )
+
+
+def test_out_of_memory_under_an_address_space_cap_is_one_line():
+    import time
+
+    cap = 40 * 2**20
+    if _capped(["phi", "--n", "15"], cap).returncode:
+        pytest.skip("the interpreter does not start under a 40 MiB address-space cap")
+    t0 = time.perf_counter()
+    proc = _capped(["height", "--factors", "3,5,7,11,13,17,19,23"], cap)
+    elapsed = time.perf_counter() - t0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
+    assert elapsed < 5

@@ -33,6 +33,7 @@ from cycloforge.intpoly import (
     substitute_power,
     to_json_coeffs,
     to_text,
+    write_text,
 )
 
 # Hand-checked reference polynomials used across the suite.
@@ -293,6 +294,22 @@ def test_evaluate():
 def test_text_roundtrip():
     assert to_text(poly([1, -1, 1])) == "1 -1 1"
     assert to_text(ZERO) == "0"
+
+
+_CHUNK = intpoly._CHUNK
+
+
+@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 5])
+def test_text_pieces_are_one_per_chunk(size):
+    a = poly([(-1) ** i * (i % 7) * 10 ** (i % 25) for i in range(size - 1)] + [3])
+    pieces = []
+    write_text(a, pieces.append)
+    assert len(pieces) == -(-size // _CHUNK)
+    assert all(len(p.split()) <= _CHUNK for p in pieces)
+    assert "".join(pieces) == to_text(a) == " ".join(str(c) for c in a.coeffs)
+    pieces = []
+    write_text(ZERO, pieces.append)
+    assert pieces == ["0"]
 
 
 def test_json_coeffs():
