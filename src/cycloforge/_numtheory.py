@@ -52,16 +52,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError("factorize requires n >= 1")
     out: list[tuple[int, int]] = []
     m = n
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    # wheel over 6k+-1
-    f = 7
-    step = 4
+    # trial division by 2, then by every odd f
+    f, step = 2, 1
     while f * f <= m:
         if m % f == 0:
             e = 0
@@ -69,8 +61,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 m //= f
                 e += 1
             out.append((f, e))
-        f += step
-        step = 6 - step
+        f, step = f + step, 2
     if m > 1:
         out.append((m, 1))
     return tuple(out)

@@ -519,12 +519,7 @@ def _verify_cmd(suite, max_value, n_values, smax, jobs):
 def _scan_cmd(conjecture, bound, jobs, cache_path, no_cache, csv_path, json_path):
     """Exhaustively test a conjecture below a bound; print violations."""
     report = _scan(conjecture, bound, workers=jobs, cache=None if no_cache else cache_path)
-    echo(
-        f"{report.conjecture}: checked 1..{report.range_checked[1]}, "
-        f"{len(report.counterexamples)} counterexamples, complete"
-    )
-    for rec in report.counterexamples:
-        echo(f"  {rec['verdict']}")
+    # the exports first: one that cannot be written leaves stdout empty
     if csv_path:
         import csv
 
@@ -536,6 +531,12 @@ def _scan_cmd(conjecture, bound, jobs, cache_path, no_cache, csv_path, json_path
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, indent=2)
             fh.write("\n")
+    echo(
+        f"{report.conjecture}: checked 1..{report.range_checked[1]}, "
+        f"{len(report.counterexamples)} counterexamples, complete"
+    )
+    for rec in report.counterexamples:
+        echo(f"  {rec['verdict']}")
 
 
 if __name__ == "__main__":

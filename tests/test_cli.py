@@ -343,6 +343,22 @@ def test_scan_exports(runner):
         assert obj["counterexamples"][0]["n"] == 4745
 
 
+def test_scan_export_that_cannot_be_written_prints_no_report(runner):
+    # the exports are written before the report: a failed one leaves stdout
+    # empty and one error line, and the journal kept for the rerun
+    with runner.isolated_filesystem():
+        for flag in ("--csv", "--json"):
+            r = runner.invoke(
+                main,
+                ["scan", "--conjecture", "height_drop_p3", "--bound", "5000",
+                 flag, "missing-dir/out"],
+            )
+            assert (r.exit_code, r.stdout) == (1, ""), flag
+            assert r.stderr.startswith("error: [Errno 2] ") and r.stderr.count("\n") == 1
+        with open("cycloforge-cache.jsonl", encoding="utf-8") as fh:
+            assert fh.readline()
+
+
 def test_scan_error_paths(runner):
     import os
 

@@ -56,6 +56,28 @@ def test_cyclo_index():
         factorize(0)
 
 
+def test_factorize_matches_brute_force():
+    def brute(n):
+        out, f = [], 2
+        while n > 1:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            if e:
+                out.append((f, e))
+            f += 1
+        return tuple(out)
+
+    assert all(factorize(n) == brute(n) for n in range(1, 10**4))
+    assert factorize(9999991) == ((9999991, 1),)
+    assert factorize(290895) == ((3, 1), (5, 1), (11, 1), (41, 1), (43, 1))
+    primes = (3, 5, 7, 11, 13, 17, 19)
+    assert factorize(prod(primes)) == tuple((p, 1) for p in primes)
+    for p in (2, 3, 5, 7, 97, 3137, 9973):
+        assert factorize(p * p) == ((p, 2),), p
+
+
 def test_is_prime_matches_the_sieve():
     assert [n for n in range(-5, 10**5) if is_prime(n)] == primes_up_to(10**5)
     # 41^2, 41*43, the least strong pseudoprime to base 2, and the least
@@ -304,8 +326,9 @@ def test_signed_subset_head_matches_full_expansion():
 
 
 def test_series_accumulate_both_passes():
-    # c * (1 + x^d + x^2d + ...) truncated, for periods on both sides of the
-    # switch between the residue and the block pass
+    # c * (1 + x^d + x^2d + ...) truncated, by one running sum per residue
+    # class: from one term per class to classes of 400, and periods past
+    # the list's end
     base = [(7 * i * i + 3 * i) % 11 - 5 for i in range(400)]
     for d in (1, 2, 3, 7, 12, 13, 20, 64, 199, 399, 400, 1000):
         got = list(base)

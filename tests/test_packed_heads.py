@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycloforge import cyclotomic, intpoly
-from cycloforge._numtheory import is_prime
+from cycloforge._numtheory import is_prime, primes_up_to
 from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_head, signed_subset_product
 from cycloforge.domains import coprime_tuples, prime_tuples
 from cycloforge.flatness import coefficient_set_of, height_of
@@ -138,6 +138,55 @@ def test_height_bound_takes_phi_route_exactly_for_distinct_primes():
         assert cyclotomic._height_bound(parts, _top(parts)) < generic(parts), parts
     for parts in ((3, 5, 49), (5, 7, 15), (3, 3, 5), (4, 3, 5), (1, 3, 5)):
         assert cyclotomic._height_bound(parts, _top(parts)) == generic(parts), parts
+
+
+def test_three_odd_primes_take_bangs_bound_alone(monkeypatch):
+    # a triple's width comes from Bang's p - 1 alone: its head builds no
+    # second head and no cofactor, from cold memos too
+    triples = [(3, 5, 7), (7, 5, 3), (2, 3, 5, 7), (101, 103, 107), (3, 5, 28097)]
+    full = {parts: signed_subset_product(parts) for parts in triples}
+
+    def raises(*args):
+        raise AssertionError("a triple's head built another product")
+
+    cyclotomic._prefix_sizes.cache_clear()
+    cyclotomic._phi_default.cache_clear()
+    monkeypatch.setattr(cyclotomic, "signed_subset_product", raises)
+    monkeypatch.setattr(cyclotomic, "_prefix_sizes", raises)
+    for parts in triples:
+        assert signed_subset_head(parts).height == poly_height(full[parts]), parts
+    assert phi(210) == full[2, 3, 5, 7]
+
+
+def test_bangs_width_is_the_width_of_the_old_two_bound_minimum():
+    # Every prime triple p < q < r with p >= 101 and pqr <= 10^7 once took
+    # the smaller of Bang's p - 1 and the residue-class bound, whose C comes
+    # from the (p, q) cofactor and A(pq) = 1. Bang's bound alone gives the
+    # same width: below 129 both fit a byte, above it the series bound is
+    # at least 128.
+    limit = 10**7
+    primes = [p for p in primes_up_to(limit // (101 * 103)) if p >= 101]
+    count = 0
+    for i, p in enumerate(primes):
+        for j in range(i + 1, len(primes)):
+            q = primes[j]
+            if p * q * q > limit:
+                break
+            abs_psi = [abs(v) for v in signed_subset_product((p, q), cofactor=True).coeffs]
+            for r in primes[j + 1 :]:
+                if p * q * r > limit:
+                    break
+                top = _top((p, q, r))
+                if r >= len(abs_psi):
+                    c = max(abs_psi)
+                else:
+                    c = max(sum(abs_psi[t::r]) for t in range(r))
+                series = ((top - 1) // (p * q) + 1) * c
+                bang = cyclotomic._height_bound((p, q, r), top)
+                assert bang == p - 1
+                assert intpoly.field_width(bang) == intpoly.field_width(min(series, bang))
+                count += 1
+    assert count == 13324
 
 
 def test_all_prime_pseudo_triples_take_byte_fields(monkeypatch):

@@ -20,8 +20,9 @@ least one test and no failure or error, so a mutant that makes pytest leave
 early through os._exit(0) is killed. A mutant is killed when its run does
 not pass; one whose run outlives SLOWDOWN times the unmutated run is killed
 too, and counted apart. It prints the survivors as `line: before -> after`,
-those the EQUIVALENT ledger lists apart from the others, then the counts and
-the wall time.
+then, apart from them, those whose source line ends with the marker
+`# mutant: equivalent` (a switch between two routes that compute the same
+value, which no test can see), then the counts and the wall time.
 
 Stdlib only, besides pytest itself.
 """
@@ -56,20 +57,7 @@ FLIP = {
     ast.IsNot: ("is not", "is"),
 }
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".perfbench-work")
-
-# Survivors that no test can kill, by module:line: the comparison the site
-# holds, and why flipping it changes no value. Each flips a switch between
-# two routes that compute the same value; only a benchmark can see them.
-EQUIVALENT = {
-    "cyclotomic:135": (
-        "len(c) < 32 * period",
-        "_series_accumulate's block pass and residue-class pass give the same sums",
-    ),
-    "cyclotomic:231": (
-        "height > _COUNTED",
-        "_byte_scan's one sum(u) and its per-value counts give the same value at 1",
-    ),
-}
+MARKER = b"# mutant: equivalent"
 
 
 class Mutant(NamedTuple):
@@ -130,23 +118,14 @@ def apply(source: bytes, m: Mutant) -> bytes:
     return source[: m.start] + m.after + source[m.end :]
 
 
-def comparisons(source: bytes, line: int) -> list[str]:
-    """The source text of each comparison that starts on the line."""
-    text = source.decode()
-    return [
-        ast.get_source_segment(text, node)
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Compare) and node.lineno == line
-    ]
+def _line(source: bytes, line: int) -> bytes:
+    start = _offsets(source)[line - 1]
+    return source[start : source.index(b"\n", start)]
 
 
 def describe(source: bytes, m: Mutant) -> str:
-    starts = _offsets(source)
-    line_start = starts[m.line - 1]
-    line = source[line_start : source.index(b"\n", line_start)]
-    mutated = apply(source, m)[line_start:]
-    mutated = mutated[: mutated.index(b"\n")]
-    return f"{m.line}: {line.decode().strip()} -> {mutated.decode().strip()}"
+    before, after = _line(source, m.line), _line(apply(source, m), m.line)
+    return f"{m.line}: {before.decode().strip()} -> {after.decode().strip()}"
 
 
 def importers(tests: Path, module: str) -> list[Path]:
@@ -215,20 +194,17 @@ def run_tests(copy: Path, tests: list[Path], limit: float | None = None) -> str:
 
 
 def summary(module: str, source: bytes, outcomes: list, seconds: float) -> list[str]:
-    """The survivors, the ones the EQUIVALENT ledger lists after the rest,
-    then one line of counts."""
+    """The survivors, the ones on a marked line after the rest, then one
+    line of counts."""
     survivors = [m for m, outcome in outcomes if outcome == "passed"]
-    listed = [m for m in survivors if f"{module}:{m.line}" in EQUIVALENT]
-    lines = [describe(source, m) for m in survivors if m not in listed]
-    lines += [
-        f"equivalent, {EQUIVALENT[f'{module}:{m.line}'][1]}: {describe(source, m)}"
-        for m in listed
-    ]
+    marked = [m for m in survivors if _line(source, m.line).rstrip().endswith(MARKER)]
+    lines = [describe(source, m) for m in survivors if m not in marked]
+    lines += [f"equivalent: {describe(source, m)}" for m in marked]
     timeouts = sum(outcome == "timeout" for _, outcome in outcomes)
     lines.append(
         f"{module}: {len(outcomes)} mutants, "
         f"{len(outcomes) - len(survivors)} killed ({timeouts} by timeout), "
-        f"{len(survivors)} survivors ({len(listed)} listed as equivalent), {seconds:.0f} s"
+        f"{len(survivors)} survivors ({len(marked)} marked equivalent), {seconds:.0f} s"
     )
     return lines
 
