@@ -297,10 +297,11 @@ def signed_subset_head(parts: tuple[int, ...]) -> Head:
     return Head(coeffs[: h + 1], height)
 
 
-def head_and_mirror(parts: tuple[int, ...]) -> IntPolynomial:
-    """signed_subset_product(parts) for parts > 1: the packed head, its width
-    proved from the parts, followed by its mirror image (a palindrome)."""
-    c = signed_subset_head(parts).coeffs
+def head_and_mirror(parts: tuple[int, ...], c: Sequence[int] | None = None) -> IntPolynomial:
+    """signed_subset_product(parts) for parts > 1: the packed head c, its
+    width proved from the parts, followed by its mirror image (a palindrome)."""
+    if c is None:
+        c = signed_subset_head(parts).coeffs
     deg = prod(p - 1 for p in parts)
     return IntPolynomial(tuple(c + c[deg - len(c) :: -1]))
 
@@ -380,14 +381,15 @@ def _primitive(c: list[int]) -> list[int]:
 
 def _prim_rem(a: list[int], b: list[int]) -> list[int]:
     # primitive part of the pseudo-remainder of a by b: lc(b)^(deg a - deg b
-    # + 1) a divides by b with every quotient term exact over the integers
+    # + 1) a divides by b with every quotient term exact over the integers.
+    # a is the caller's to discard, so a scale of 1 divides it in place.
     db = len(b) - 1
     scale = b[-1] ** (len(a) - db)
-    rem = [v * scale for v in a]
+    rem = a if scale == 1 else [v * scale for v in a]
     long_divide(rem, b)
+    while db and rem[db - 1] == 0:
+        db -= 1
     del rem[db:]
-    while rem and rem[-1] == 0:
-        rem.pop()
     return _primitive(rem) if rem else []
 
 
@@ -427,28 +429,27 @@ _X_MINUS_1 = IntPolynomial((-1, 1))
 
 
 @lru_cache(maxsize=512)
-def _phi_default(n: int) -> IntPolynomial:
-    primes, k = _radical_primes(n)
-    if not primes:
-        return _X_MINUS_1
-    return substitute_power(head_and_mirror(primes), k)
+def _phi_default(primes: tuple[int, ...]) -> Sequence[int]:
+    # the default route's memo: the packed head alone, one byte per lower-half
+    # coefficient below height 128, never handed to a caller
+    return signed_subset_head(primes).coeffs
 
 
 def phi(n: int, alg: PhiAlgorithm | None = None) -> IntPolynomial:
     """The n-th cyclotomic polynomial (monic, degree totient(n)).
 
-    With alg=None the cached default is used: the packed head of the
+    With alg=None the default is used: the memoised packed head of the
     inclusion-exclusion product over the radical's primes, followed by its
-    mirror image (head_and_mirror). Passing an explicit algorithm always
-    recomputes from the radical's primes, with no memo, so differential
-    tests and the verify suites compare genuinely independent code paths.
+    mirror image (head_and_mirror), built afresh. An explicit algorithm
+    always recomputes from the radical's primes, with no memo, so tests and
+    the verify suites compare genuinely independent code paths.
     """
-    if alg is None:
-        return _phi_default(n)
     primes, k = _radical_primes(n)
     if not primes:
         return _X_MINUS_1
-    if alg is PhiAlgorithm.MobiusProduct:
+    if alg is None:
+        base = head_and_mirror(primes, _phi_default(primes))
+    elif alg is PhiAlgorithm.MobiusProduct:
         base = signed_subset_product(primes)
     elif alg is PhiAlgorithm.RecursiveQuotient:
         base = _phi_recursive(primes)

@@ -33,7 +33,7 @@ from .intpoly import (
     extract_residue,
     poly,
     poly_mod_monic,
-    poly_mul,
+    poly_mul_power,
     poly_sub,
     substitute_power,
 )
@@ -107,7 +107,7 @@ def bezout_split(n: int, p: int) -> BezoutSplit:
         scaled.append(c // p)
     a = IntPolynomial(tuple(scaled))
     cofactor = psi(n)
-    numerator = poly_sub(cofactor, poly_mul(a, substitute_power(cofactor, p)))
+    numerator = poly_sub(cofactor, poly_mul_power(a, cofactor, p))
     try:
         b = div_xd_minus_1(numerator.coeffs, n)
     except RemainderNonzero as exc:

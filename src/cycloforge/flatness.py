@@ -591,6 +591,8 @@ def scan(
         raise ValueError("bound must be positive")
     if chunk_width < 1:
         raise ValueError("chunk_width must be positive")
+    if workers < 1:
+        raise ValueError("workers must be positive")
     if cache is not None:
         try:
             open(cache, "a", encoding="utf-8").close()

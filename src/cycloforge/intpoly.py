@@ -8,10 +8,11 @@ degree is the NEG_INF sentinel, which compares below every integer.
 The canonical text form is the space-separated coefficient list from
 degree 0 upward, e.g. "1 -1 1" for x^2 - x + 1.
 
-Two kernels carry the arithmetic. Every product, poly_mul, goes through
-the packed codec (Kronecker substitution: a polynomial evaluated at
-x = 2^b is one Python int, one signed b-bit field per coefficient),
-which the packed head kernel in cyclotomic shares. Quotients and
+Two kernels carry the arithmetic. Every product, poly_mul_power (a times
+h(x^k), so poly_mul at k = 1), goes through the packed codec (Kronecker
+substitution: a polynomial evaluated at x = 2^b is one Python int, one
+signed b-bit field per coefficient), which the packed head kernel in
+cyclotomic shares. Quotients and
 remainders, exact or pseudo, go through the one long-division loop,
 long_divide.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress
 from operator import add, sub
 from typing import Iterable, Sequence, Union
 
@@ -179,20 +181,37 @@ def unpack(x: int, b: int, count: int) -> Sequence[int]:
 
 
 def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact product: both operands are packed at x = 2^bits (Kronecker
-    substitution), multiplied as two ints, and the product's fields
-    decoded."""
-    xs, ys = a.coeffs, b.coeffs
-    if not xs or not ys:
+    """Exact product, poly_mul_power at k = 1."""
+    return poly_mul_power(a, b, 1)
+
+
+def poly_mul_power(a: IntPolynomial, h: IntPolynomial, k: int) -> IntPolynomial:
+    """a * h(x^k) for k >= 1, through the packed codec (Kronecker
+    substitution): a is packed at x = 2^bits, and the product's fields are
+    decoded. At k = 1 h is packed too and the two ints multiplied; above it
+    one shifted multiple of packed a is added per nonzero coefficient of h,
+    so the zeros of h(x^k) are never built."""
+    if k < 1:
+        raise ValueError("substitution power must be >= 1")
+    xs, hs = a.coeffs, h.coeffs
+    if not xs or not hs:
         return ZERO
-    size = len(xs) + len(ys) - 1
-    # [x^k](a b) sums at most min(nonzeros) products of a coefficient of a
-    # and one of b, so this bound, proved from the operands and never read
-    # off the product, holds every field of the product and of both operands
-    terms = min(len(xs) - xs.count(0), len(ys) - ys.count(0))
-    bits = field_width(terms * max(map(abs, xs)) * max(map(abs, ys)))
-    out = unpack(_pack(xs, bits) * _pack(ys, bits), bits, size)
-    if sum(xs) * sum(ys) != sum(out):
+    size = len(xs) + (len(hs) - 1) * k
+    # [x^i] sums c_j [x^(i - j k)]a over the nonzero c_j, at most min(nonzeros)
+    # products, so this bound, proved from the operands and never read off
+    # the product, holds every field of the product and of both operands
+    terms = min(len(xs) - xs.count(0), len(hs) - hs.count(0))
+    bits = field_width(terms * max(map(abs, xs)) * max(map(abs, hs)))
+    packed = _pack(xs, bits)
+    if k == 1:
+        acc = packed * _pack(hs, bits)
+    else:
+        acc = 0
+        for j, c in enumerate(hs):
+            if c:
+                acc += (c * packed) << (bits * k * j)
+    out = unpack(acc, bits, size)
+    if sum(xs) * sum(hs) != sum(out):
         raise AssertionError("packed product has the wrong value at 1")
     return IntPolynomial(tuple(out))
 
@@ -211,7 +230,7 @@ def long_divide(rem: list[int], bl: Sequence[int]) -> list[int]:
     # only the divisor's nonzero lower terms update rem, dense divisor or not
     db = len(bl) - 1
     blead = bl[-1]
-    pairs = [(j, v) for j, v in enumerate(bl[:db]) if v]
+    pairs = list(compress(enumerate(bl), bl[:db]))
     q = [0] * max(0, len(rem) - db)
     for i in range(len(q) - 1, -1, -1):
         c = rem[i + db]

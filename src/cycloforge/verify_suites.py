@@ -47,6 +47,7 @@ from .intpoly import (
     poly_add,
     poly_height,
     poly_mul,
+    poly_mul_power,
     poly_mul_scalar,
     poly_sub,
 )
@@ -203,7 +204,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         ag = [0] * (n * (p - 1) + len(a))
         for k in range(0, n * p, n):
             ag[k : k + len(a)] = a
-        rebuilt = poly_add(IntPolynomial(ag), poly_mul(split.b, split.h()))
+        rebuilt = poly_add(IntPolynomial(ag), poly_mul_power(split.b, phi(n), p))
         if rebuilt != f:
             diff = poly_sub(f, rebuilt).coeffs
             fails["f-equals-g"].append((n, p, min(i % p for i, c in enumerate(diff) if c)))
@@ -446,6 +447,8 @@ def run_suite(
     """Run one named suite and return its property results. For pseudo,
     max_value sets only the r2-biconditional range: factorization-product
     and gcd-identity always cover the coprime tuples with n <= 1000."""
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     if name == "binary":
         return _run_binary(5000 if max_value is None else max_value)
     if name == "fj":

@@ -359,6 +359,23 @@ def test_scan_export_that_cannot_be_written_prints_no_report(runner):
             assert fh.readline()
 
 
+def test_jobs_below_one_is_one_error_line(runner):
+    # scan and verify refuse --jobs 0 and -1 before any journal is touched,
+    # instead of running one worker
+    import os
+
+    with runner.isolated_filesystem():
+        for jobs in ("0", "-1"):
+            for args, error in [
+                (["scan", "--conjecture", "height_drop_p3", "--bound", "100"], "workers"),
+                (["verify", "--suite", "fj", "--max", "5"], "jobs"),
+            ]:
+                r = runner.invoke(main, [*args, "--jobs", jobs])
+                want = (1, "", f"error: {error} must be positive\n")
+                assert (r.exit_code, r.stdout, r.stderr) == want, args
+        assert os.listdir(".") == []
+
+
 def test_scan_error_paths(runner):
     import os
 
@@ -655,7 +672,8 @@ def test_stdout_bytes_on_a_stream_that_is_not_utf8(encoding, args, code, stdout,
 
 def test_coeffs_output_holds_a_bounded_amount_of_memory(monkeypatch):
     # phi(290895) has 134401 coefficients; printing them, once phi is
-    # computed, must not hold their whole text
+    # computed, must not hold their whole text. The command is handed the
+    # computed polynomial, since phi builds a fresh one on each call
     import io
     import sys
     import tracemalloc
@@ -669,7 +687,8 @@ def test_coeffs_output_holds_a_bounded_amount_of_memory(monkeypatch):
         def write(self, b):
             return len(b)
 
-    phi(290895)
+    f = phi(290895)
+    monkeypatch.setattr(cli, "phi", lambda n, alg=None: f)
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Sink(), encoding="utf-8"))
     tracemalloc.start()
     try:

@@ -1,8 +1,10 @@
 """Tests for the four cyclotomic algorithms and the classical reductions."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from math import gcd, prod
 from pathlib import Path
@@ -454,3 +456,30 @@ def test_cold_and_warm_memo_agree(cold_memos):
         if n < 255255:
             # the explicit sparse series, on the prefixes the smaller n left
             assert phi(n, PhiAlgorithm.SparseSeries) == cold[n], n
+
+
+def test_phi_memo_holds_heads(cold_memos):
+    # the memo keeps one byte per lower-half coefficient, not polynomials:
+    # 32 cold odd ternary phi between 10^5 and 1.4 * 10^5 held 22.6 MB when it
+    # kept whole polynomials, and hold 1.4 MB as heads
+    ns = []
+    for start in range(100_000, 140_000, 1250):
+        n = start
+        while n % 2 == 0 or len(factorize(n)) != 3 or any(e > 1 for _, e in factorize(n)):
+            n += 1
+        ns.append(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for n in ns:
+            assert phi(n).degree == totient(n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 3_000_000
+    assert cyclotomic._phi_default.cache_info().currsize == 32
+    head = cyclotomic._phi_default(tuple(p for p, _ in factorize(ns[0])))
+    assert head.typecode == "b" and len(head) == totient(ns[0]) // 2 + 1
+    # a caller's phi is its own: the memo gives the same bytes again
+    assert phi(ns[0]) == phi(ns[0], PhiAlgorithm.MobiusProduct)

@@ -1,5 +1,6 @@
 """Tests for the residue-class decomposition machinery."""
 
+import hashlib
 from math import gcd, prod
 
 import pytest
@@ -38,6 +39,7 @@ from cycloforge.intpoly import (
     poly_mul_scalar,
     poly_sub,
     substitute_power,
+    to_text,
 )
 from cycloforge.pseudocyclo import pseudo_phi
 from cycloforge.verify_suites import check_fj_invariants, run_suite
@@ -124,6 +126,21 @@ def test_bezout_b_matches_long_division_by_h():
                 assert s.b == want, (n, p)
                 pairs += 1
     assert pairs == 951
+
+
+def test_bezout_split_keeps_its_bytes():
+    # every (a, b) with 2 <= n <= 60 and a prime p <= 100 not dividing n, by
+    # one SHA-256 taken when a*psi(n)(x^p) was built with its zeros
+    h = hashlib.sha256()
+    pairs = 0
+    for n in range(2, 61):
+        for p in primes_up_to(100):
+            if n % p:
+                s = bezout_split(n, p)
+                h.update(f"{n} {p}: {to_text(s.a)} / {to_text(s.b)}\n".encode())
+                pairs += 1
+    assert pairs == 1379
+    assert h.hexdigest() == "8f7ffa97ba2105f2ba4de83748ecc512019b8a568cac221ac3c8a8dc369c8ce7"
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from cycloforge.intpoly import (
     poly_height,
     poly_mod_monic,
     poly_mul,
+    poly_mul_power,
     poly_mul_scalar,
     poly_sub,
     substitute_power,
@@ -343,6 +344,39 @@ def test_reassembly(a, m):
         part = substitute_power(extract_residue(a, m, j), m)
         total = poly_add(total, poly_mul(monomial(j), part))
     assert total == a
+
+
+# zeros, small values and values near +-2^70, whose products need fields
+# wider than 64 bits
+wide_polys = st.lists(
+    st.one_of(
+        st.just(0),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=2**70 - 9, max_value=2**70 + 9),
+        st.integers(min_value=-(2**70) - 9, max_value=-(2**70) + 9),
+    ),
+    max_size=12,
+).map(poly)
+
+
+@given(wide_polys, wide_polys, st.integers(min_value=1, max_value=7))
+def test_mul_power_matches_mul_by_substituted(a, h, k):
+    assert poly_mul_power(a, h, k) == poly_mul(a, substitute_power(h, k))
+
+
+def test_mul_power_edges(monkeypatch):
+    assert poly_mul_power(ZERO, PHI15, 3) == poly_mul_power(PHI15, ZERO, 3) == ZERO
+    assert poly_mul_power(PSI15, PHI15, 1) == poly_mul(PSI15, PHI15)
+    assert poly_mul_power(poly([1, 2**70]), poly([-(2**70), 0, 1]), 2) == poly(
+        [-(2**70), -(2**140), 0, 0, 1, 2**70]
+    )
+    with pytest.raises(ValueError):
+        poly_mul_power(PHI15, PHI15, 0)
+    # one byte per field cannot hold 300: the value at 1 catches the wrap
+    monkeypatch.setattr(intpoly, "field_width", lambda bound: 8)
+    assert poly_mul_power(poly([1, 100]), poly([1, 1]), 2) == poly([1, 100, 1, 100])
+    with pytest.raises(AssertionError):
+        poly_mul_power(poly([100, 100]), poly([3, 0, 1]), 1)
 
 
 @given(small_polys, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4))
