@@ -297,11 +297,10 @@ def signed_subset_head(parts: tuple[int, ...]) -> Head:
     return Head(coeffs[: h + 1], height)
 
 
-def head_and_mirror(parts: tuple[int, ...], c: Sequence[int] | None = None) -> IntPolynomial:
-    """signed_subset_product(parts) for parts > 1: the packed head c, its
-    width proved from the parts, followed by its mirror image (a palindrome)."""
-    if c is None:
-        c = signed_subset_head(parts).coeffs
+def head_and_mirror(parts: tuple[int, ...], c: Sequence[int]) -> IntPolynomial:
+    """signed_subset_product(parts) for parts > 1: its packed head c
+    (signed_subset_head(parts).coeffs) followed by its mirror image (a
+    palindrome)."""
     deg = prod(p - 1 for p in parts)
     return IntPolynomial(tuple(c + c[deg - len(c) :: -1]))
 

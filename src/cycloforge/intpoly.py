@@ -187,10 +187,9 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 def poly_mul_power(a: IntPolynomial, h: IntPolynomial, k: int) -> IntPolynomial:
     """a * h(x^k) for k >= 1, through the packed codec (Kronecker
-    substitution): a is packed at x = 2^bits, and the product's fields are
-    decoded. At k = 1 h is packed too and the two ints multiplied; above it
-    one shifted multiple of packed a is added per nonzero coefficient of h,
-    so the zeros of h(x^k) are never built."""
+    substitution): a is packed at x = 2^bits and h at 2^(bits k), which is
+    h(x^k) at 2^bits with its zeros never built, the two ints are
+    multiplied, and the product's fields decoded."""
     if k < 1:
         raise ValueError("substitution power must be >= 1")
     xs, hs = a.coeffs, h.coeffs
@@ -202,15 +201,7 @@ def poly_mul_power(a: IntPolynomial, h: IntPolynomial, k: int) -> IntPolynomial:
     # the product, holds every field of the product and of both operands
     terms = min(len(xs) - xs.count(0), len(hs) - hs.count(0))
     bits = field_width(terms * max(map(abs, xs)) * max(map(abs, hs)))
-    packed = _pack(xs, bits)
-    if k == 1:
-        acc = packed * _pack(hs, bits)
-    else:
-        acc = 0
-        for j, c in enumerate(hs):
-            if c:
-                acc += (c * packed) << (bits * k * j)
-    out = unpack(acc, bits, size)
+    out = unpack(_pack(xs, bits) * _pack(hs, bits * k), bits, size)
     if sum(xs) * sum(hs) != sum(out):
         raise AssertionError("packed product has the wrong value at 1")
     return IntPolynomial(tuple(out))

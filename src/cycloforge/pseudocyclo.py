@@ -14,7 +14,7 @@ from math import gcd, prod
 from typing import Iterable
 
 from ._numtheory import divisors
-from .cyclotomic import head_and_mirror, signed_subset_product
+from .cyclotomic import head_and_mirror, signed_subset_head, signed_subset_product
 from .errors import NotCoprime
 from .intpoly import ONE, IntPolynomial
 
@@ -38,7 +38,7 @@ def pseudo_phi(parts: Iterable[int]) -> IntPolynomial:
     ps = _canonical(parts)
     if 1 in ps:
         return ONE
-    return head_and_mirror(ps)
+    return head_and_mirror(ps, signed_subset_head(ps).coeffs)
 
 
 def pseudo_psi(parts: Iterable[int]) -> IntPolynomial:

@@ -47,7 +47,6 @@ from .intpoly import (
     poly_add,
     poly_height,
     poly_mul,
-    poly_mul_power,
     poly_mul_scalar,
     poly_sub,
 )
@@ -204,7 +203,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         ag = [0] * (n * (p - 1) + len(a))
         for k in range(0, n * p, n):
             ag[k : k + len(a)] = a
-        rebuilt = poly_add(IntPolynomial(ag), poly_mul_power(split.b, phi(n), p))
+        rebuilt = poly_add(IntPolynomial(ag), split.b_times_h())
         if rebuilt != f:
             diff = poly_sub(f, rebuilt).coeffs
             fails["f-equals-g"].append((n, p, min(i % p for i, c in enumerate(diff) if c)))

@@ -110,6 +110,7 @@ def test_bezout_identity_and_bounds_sampled():
     for n, p in cases:
         s = bezout_split(n, p)
         assert poly_add(poly_mul(s.a, s.g()), poly_mul(s.b, s.h())) == phi(n * p)
+        assert s.b_times_h() == poly_mul(s.b, s.h())
         assert not s.a or s.a.degree < totient(n)
         assert not s.b or s.b.degree < (n - totient(n)) * (p - 1)
 
