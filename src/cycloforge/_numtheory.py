@@ -10,8 +10,9 @@ from functools import lru_cache
 from math import isqrt
 
 # Deterministic witness set: correct for all n < 3_317_044_064_679_887_385_961_981,
-# comfortably past 2^64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# comfortably past 2^64. The bases up to 37 alone stop short, at
+# 318_665_857_834_031_151_167_461 = 399_165_290_221 * 798_330_580_441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -24,8 +25,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    # a composite with no prime factor up to 37 is at least 41^2
-    if n < 1681:
+    # a composite with no prime factor up to 41 is at least 43^2
+    if n < 1849:
         return True
     d = n - 1
     r = 0

@@ -163,7 +163,9 @@ def _parse(argv: list[str]):
             elif o.multiple or o.kind == FLAG:
                 params[o.name] = () if o.multiple else False
             else:
-                params[o.name] = None if o.default is None else _convert(o.kind, o.default)
+                # a callable default is read at each call, as click reads it
+                default = o.default() if callable(o.default) else o.default
+                params[o.name] = None if default is None else _convert(o.kind, default)
     except (KeyError, StopIteration, ValueError):
         return None
     if exclusive and all(params[k] for k in exclusive):
@@ -481,7 +483,10 @@ def _classify_cmd(factors, brute, explain):
     echo(line)
 
 
-_JOBS = _Opt("--jobs", int, default=1, show_default=True)
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @_command(
@@ -490,7 +495,7 @@ _JOBS = _Opt("--jobs", int, default=1, show_default=True)
     _Opt("--max", int, "max_value", help="Override the range."),
     _Opt("--n", int, "n_values", multiple=True, help="Indices to test."),
     _Opt("--smax", int, help="Prime bound where applicable."),
-    _JOBS,
+    _Opt("--jobs", int, default=_usable_cpus, help="[default: every CPU this process may use]"),
 )
 def _verify_cmd(suite, max_value, n_values, smax, jobs):
     """Run a named property suite and print one line per property."""
@@ -509,7 +514,8 @@ def _verify_cmd(suite, max_value, n_values, smax, jobs):
     "scan",
     _Opt("--conjecture", required=True, help="Scan tag."),
     _Opt("--bound", int, required=True),
-    _JOBS,
+    # serial by default: chunk k then reads the heights chunk k - 1 journalled
+    _Opt("--jobs", int, default=1, show_default=True),
     _Opt("--cache", PATH, "cache_path", default="./cycloforge-cache.jsonl", show_default=True,
          help="Height journal; completed chunks are skipped on rerun."),
     _Opt("--no-cache", FLAG, help="Scan without journalling."),

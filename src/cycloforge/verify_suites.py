@@ -7,6 +7,7 @@ rows; the CLI renders one PASS/FAIL line per property.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
 from typing import NamedTuple
 
@@ -226,12 +227,16 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
     return len(pairs), fails
 
 
+def _chunks(items: list, size: int) -> list[list]:
+    # fork_map deals chunks round robin, so small ones even out the shares
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
 def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
     pairs = _fj_grid(nmax, pmax)
-    chunks = [pairs[i : i + 150] for i in range(0, len(pairs), 150)]
     merged: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
     total = 0
-    for checked, fails in fork_map(_fj_check_chunk, chunks, jobs):
+    for checked, fails in fork_map(_fj_check_chunk, _chunks(pairs, 50), jobs):
         total += checked
         for key, rows in fails.items():
             merged[key].extend(rows)
@@ -296,27 +301,31 @@ def _run_periodicity(n_values: tuple[int, ...], smax: int) -> list[PropertyResul
     return out
 
 
-def _run_pseudo(r2_limit: int) -> list[PropertyResult]:
-    out = []
+def _pseudo_check_chunk(chunk: list[tuple[int, ...]]) -> tuple[list, list]:
     prod_bad, gcd_bad = [], []
-    tuples = 0
-    for _, parts in coprime_tuples(None, 1, 1000):
-        tuples += 1
+    for parts in chunk:
         f = pseudo_phi(parts)
-        acc = poly([1])
-        for m in pseudo_factorization(parts):
-            acc = poly_mul(acc, phi(m))
-        if acc != f:
+        if reduce(poly_mul, map(phi, pseudo_factorization(parts))) != f:
             prod_bad.append(parts)
         if poly(generator_gcd(parts)) != f:
             gcd_bad.append(parts)
+    return prod_bad, gcd_bad
+
+
+def _run_pseudo(r2_limit: int, jobs: int) -> list[PropertyResult]:
+    out = []
+    prod_bad, gcd_bad = [], []
+    tuples = [parts for _, parts in coprime_tuples(None, 1, 1000)]
+    for chunk_prod, chunk_gcd in fork_map(_pseudo_check_chunk, _chunks(tuples, 100), jobs):
+        prod_bad += chunk_prod
+        gcd_bad += chunk_gcd
     out.append(
         _result(
-            "pseudo", "factorization-product", prod_bad, f"{tuples} tuples, n <= 1000"
+            "pseudo", "factorization-product", prod_bad, f"{len(tuples)} tuples, n <= 1000"
         )
     )
     out.append(
-        _result("pseudo", "gcd-identity", gcd_bad, f"{tuples} tuples, n <= 1000")
+        _result("pseudo", "gcd-identity", gcd_bad, f"{len(tuples)} tuples, n <= 1000")
     )
 
     r2_bad = []
@@ -445,7 +454,10 @@ def run_suite(
 ) -> list[PropertyResult]:
     """Run one named suite and return its property results. For pseudo,
     max_value sets only the r2-biconditional range: factorization-product
-    and gcd-identity always cover the coprime tuples with n <= 1000."""
+    and gcd-identity always cover the coprime tuples with n <= 1000. jobs
+    forked workers share fj's pairs, pseudo's factorization-product and
+    gcd-identity tuples, and paper-table's scan; the results are those of
+    jobs=1. The other suites run in this process."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
     if name == "binary":
@@ -456,7 +468,7 @@ def run_suite(
         n_values = tuple(n_values or (15, 21, 33, 35))
         return _run_periodicity(n_values, 300 if smax is None else smax)
     if name == "pseudo":
-        return _run_pseudo(20000 if max_value is None else max_value)
+        return _run_pseudo(20000 if max_value is None else max_value, jobs)
     if name == "classifier-soundness":
         return _run_classifier_soundness(30000 if max_value is None else max_value)
     if name == "paper-table":

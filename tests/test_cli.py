@@ -256,6 +256,14 @@ def test_classify_brute_and_explain(runner):
     assert "ascending" in r.stderr
 
 
+def test_classify_refuses_a_strong_pseudoprime_to_the_bases_up_to_37(runner):
+    # 399165290221 * 798330580441 passes Miller-Rabin for every base up to
+    # 37; base 41 shows it composite
+    r = runner.invoke(main, ["classify", "--factors", "3,5,318665857834031151167461"])
+    want = "error: [3, 5, 318665857834031151167461] must be odd primes\n"
+    assert (r.exit_code, r.stdout, r.stderr) == (1, "", want)
+
+
 def test_verify_unknown_suite_is_usage_error(runner):
     r = runner.invoke(main, ["verify", "--suite", "nosuch"])
     assert r.exit_code == 2
@@ -516,8 +524,27 @@ def test_strict_parser_accepts_well_formed_commands():
         parsed = cli._parse(argv)
         assert parsed is not None and parsed[2] == _click_params(argv)[2], argv
     assert cli._parse(["verify", "--suite", "fj"])[2] == {
-        "suite": "fj", "max_value": None, "n_values": (), "smax": None, "jobs": 1
+        "suite": "fj", "max_value": None, "n_values": (), "smax": None,
+        "jobs": cli._usable_cpus(),
     }
+
+
+def test_verify_jobs_default_to_the_usable_cpus_and_scan_stays_serial(runner, monkeypatch):
+    # verify reads the CPU count at each call, through either parser; scan
+    # keeps one worker. Both are stubbed, so no process is forked
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append(kw["jobs"]) or [])
+    real_scan = cli._scan
+    monkeypatch.setattr(
+        cli, "_scan", lambda *a, **kw: seen.append(kw["workers"]) or real_scan(*a, **kw)
+    )
+    assert runner.invoke(main, ["verify", "--suite", "fj"]).exit_code == 0
+    assert runner.invoke(main, ["verify", "--suite", "fj", "--jobs", "2"]).exit_code == 0
+    args = ["scan", "--conjecture", "notflat", "--bound", "200", "--no-cache"]
+    assert runner.invoke(main, args).exit_code == 0
+    assert seen == [3, 2, 1]
+    assert _click_params(["verify", "--suite", "fj"])[2]["jobs"] == 3
 
 
 @pytest.mark.parametrize(

@@ -82,9 +82,10 @@ def test_factorize_matches_brute_force():
 
 def test_is_prime_matches_the_sieve():
     assert [n for n in range(-5, 10**5) if is_prime(n)] == primes_up_to(10**5)
-    # 41^2, 41*43, the least strong pseudoprime to base 2, and the least
-    # to bases 2, 3, 5 and 7; then a Mersenne prime
-    for n in (1681, 1763, 2047, 3_215_031_751):
+    # 41^2, 41*43, the least strong pseudoprime to base 2, the least to
+    # bases 2, 3, 5 and 7, and the least to every base up to 37; then a
+    # Mersenne prime
+    for n in (1681, 1763, 2047, 3_215_031_751, 318_665_857_834_031_151_167_461):
         assert not is_prime(n), n
     assert is_prime(2**61 - 1)
 

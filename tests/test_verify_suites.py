@@ -109,6 +109,22 @@ def test_pseudo_suite_catches_forgeries(monkeypatch, target, key, forge, failing
     }
 
 
+def test_pseudo_suite_names_the_earlier_of_two_forged_chunks(monkeypatch):
+    # (2, 399) is tuple 399 and (3, 5, 7) tuple 481: chunks 3 and 4 of 100,
+    # which two workers compute apart. The failures merge in tuple order
+    real = verify_suites.pseudo_phi
+    keys = {(2, 399), (3, 5, 7)}
+    monkeypatch.setattr(
+        verify_suites, "pseudo_phi",
+        lambda parts: _bump_constant(real(parts)) if tuple(parts) in keys else real(parts),
+    )
+    results = run_suite("pseudo", max_value=300, jobs=2)
+    assert {r.prop: r.info for r in results if not r.ok} == {
+        "factorization-product": "2 counterexamples, first: (2, 399)",
+        "gcd-identity": "2 counterexamples, first: (2, 399)",
+    }
+
+
 def test_classifier_suite_catches_a_forged_expansion(monkeypatch):
     # the sparse expansion of the flat (3, 5, 31), r = 1 (mod pq) and r > pq,
     # with its constant term raised by 10: each property reads it and names it
@@ -155,6 +171,13 @@ def test_classifier_suite_catches_a_forged_coprime_head(monkeypatch, forged):
 def test_fj_suite_jobs_equivalence():
     inline = run_suite("fj", max_value=20)
     pooled = run_suite("fj", max_value=20, jobs=2)
+    assert inline == pooled
+    assert all(r.ok for r in inline)
+
+
+def test_pseudo_suite_jobs_equivalence():
+    inline = run_suite("pseudo", max_value=300)
+    pooled = run_suite("pseudo", max_value=300, jobs=2)
     assert inline == pooled
     assert all(r.ok for r in inline)
 

@@ -15,6 +15,8 @@ The tracer starts before cycloforge is imported, so module bodies (def,
 class and import lines) count as run. What a forked child runs is out of
 its reach: the children of `scan --jobs 2` compute every chunk of those
 calls, and their lines read as unexecuted unless another call runs them.
+`verify`, which forks one worker per usable CPU by default, runs here with
+`--jobs 1`, which computes the same chunks in this process.
 Memos stay warm from call to call, unlike the benchmark's fresh processes;
 a memoised body still counts once, from its first call.
 
@@ -68,6 +70,8 @@ def run_rounds(rounds: list[list], journal_mark: str) -> list[tuple]:
                         os.path.join(tmp, f"{call.journal}.jsonl") if a == journal_mark else a
                         for a in call.argv
                     ]
+                    if argv[0] == "verify":
+                        argv += ["--jobs", "1"]
                     # UTF-8 streams, as a terminal or a pipe gives: a stream
                     # with no encoding would send echo through click
                     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
