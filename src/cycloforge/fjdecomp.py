@@ -63,16 +63,6 @@ class BezoutSplit(NamedTuple):
     a: IntPolynomial
     b: IntPolynomial
 
-    def g(self) -> IntPolynomial:
-        return substitute_power(phi(self.p), self.n)
-
-    def h(self) -> IntPolynomial:
-        return substitute_power(phi(self.n), self.p)
-
-    def b_times_h(self) -> IntPolynomial:
-        # b * h without building the zeros of h
-        return poly_mul_power(self.b, phi(self.n), self.p)
-
 
 def _check_pair(n: int, p: int, least: int) -> None:
     # the (n, p) hypotheses every family and split builder shares

@@ -48,6 +48,7 @@ from .intpoly import (
     poly_add,
     poly_height,
     poly_mul,
+    poly_mul_power,
     poly_mul_scalar,
     poly_sub,
 )
@@ -184,13 +185,14 @@ def check_fj_invariants(fam: FjFamily, split: BezoutSplit) -> IntPolynomial:
     return f
 
 
-def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]:
+def _fj_check_chunk(pairs: list[tuple[int, int]]) -> dict[str, list]:
     fails: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
     for n, p in pairs:
         try:
             fam = fj_family(n, p)
             split = bezout_split(n, p)
             f = check_fj_invariants(fam, split)
+            base = phi(n)
         except Exception as exc:
             fails["family-invariants"].append((n, p, str(exc)))
             continue
@@ -204,7 +206,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
         ag = [0] * (n * (p - 1) + len(a))
         for k in range(0, n * p, n):
             ag[k : k + len(a)] = a
-        rebuilt = poly_add(IntPolynomial(ag), split.b_times_h())
+        rebuilt = poly_add(IntPolynomial(ag), poly_mul_power(split.b, base, p))
         if rebuilt != f:
             diff = poly_sub(f, rebuilt).coeffs
             fails["f-equals-g"].append((n, p, min(i % p for i, c in enumerate(diff) if c)))
@@ -215,7 +217,6 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
             stars = fstar_family(n, p)
             if stars[0] != fam.members[0]:
                 fails["f0-fast"].append((n, p))
-            base = phi(n)
             for j in range(n):
                 want = poly_add(
                     poly((0,) + stars[(j - 1) % n].coeffs),
@@ -224,7 +225,7 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> tuple[int, dict[str, list]]
                 if stars[j] != want:
                     fails["fstar-recursion"].append((n, p, j))
                     break
-    return len(pairs), fails
+    return fails
 
 
 def _chunks(items: list, size: int) -> list[list]:
@@ -235,15 +236,13 @@ def _chunks(items: list, size: int) -> list[list]:
 def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
     pairs = _fj_grid(nmax, pmax)
     merged: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
-    total = 0
-    for checked, fails in fork_map(_fj_check_chunk, _chunks(pairs, 50), jobs):
-        total += checked
+    for fails in fork_map(_fj_check_chunk, _chunks(pairs, 50), jobs):
         for key, rows in fails.items():
             merged[key].extend(rows)
     large = sum(1 for n, p in pairs if p > n)
     infos = (
-        f"{total} (n,p) pairs",
-        f"{total} (n,p) pairs, every member",
+        f"{len(pairs)} (n,p) pairs",
+        f"{len(pairs)} (n,p) pairs, every member",
         f"{large} pairs with p > n",
         f"{large} pairs with p > n",
         f"{large} pairs with p > n",

@@ -53,6 +53,13 @@ def test_phi_pretty_edge_cases(runner):
     assert r.stdout == "1\n"
 
 
+def test_pretty_prints_the_zero_polynomial_as_0():
+    # no command prints a zero body at the inputs tests can afford, so the
+    # printer's zero line is reached directly, with and without an offset
+    assert cli._pretty(0, ()) == "0"
+    assert cli._pretty(-2, ()) == "0"
+
+
 def test_phi_json_roundtrip(runner):
     r = runner.invoke(main, ["phi", "--n", "105", "--format", "json"])
     obj = json.loads(r.stdout)

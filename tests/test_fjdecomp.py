@@ -58,10 +58,20 @@ def lifted(e: tuple, p: int, j: int) -> tuple:
     return off * p + j if body else 0, substitute_power(body, p)
 
 
+def g(n, p):
+    # the cofactor phi(p)(x^n) of phi(np)
+    return substitute_power(phi(p), n)
+
+
+def h(n, p):
+    # the cofactor phi(n)(x^p) of phi(np)
+    return substitute_power(phi(n), p)
+
+
 def gj_family(split: BezoutSplit) -> list[IntPolynomial]:
     # residue-class members of a*g; congruent to the direct members
     # modulo phi(n)
-    ag = poly_mul(split.a, split.g())
+    ag = poly_mul(split.a, g(split.n, split.p))
     return [extract_residue(ag, split.p, j) for j in range(split.p)]
 
 
@@ -101,7 +111,7 @@ def test_bezout_golden_3_2():
 def test_bezout_5_2():
     s = bezout_split(5, 2)
     assert s.a.degree < 4
-    f = poly_add(poly_mul(s.a, s.g()), poly_mul(s.b, s.h()))
+    f = poly_add(poly_mul(s.a, g(5, 2)), poly_mul(s.b, h(5, 2)))
     assert f == phi(10)
 
 
@@ -109,8 +119,7 @@ def test_bezout_identity_and_bounds_sampled():
     cases = [(3, 2), (5, 2), (15, 2), (15, 7), (21, 2), (10, 3), (33, 5), (15, 17)]
     for n, p in cases:
         s = bezout_split(n, p)
-        assert poly_add(poly_mul(s.a, s.g()), poly_mul(s.b, s.h())) == phi(n * p)
-        assert s.b_times_h() == poly_mul(s.b, s.h())
+        assert poly_add(poly_mul(s.a, g(n, p)), poly_mul(s.b, h(n, p))) == phi(n * p)
         assert not s.a or s.a.degree < totient(n)
         assert not s.b or s.b.degree < (n - totient(n)) * (p - 1)
 
@@ -123,7 +132,7 @@ def test_bezout_b_matches_long_division_by_h():
         for p in primes_up_to(61):
             if n % p:
                 s = bezout_split(n, p)
-                want = poly_exact_div(poly_sub(phi(n * p), poly_mul(s.a, s.g())), s.h())
+                want = poly_exact_div(poly_sub(phi(n * p), poly_mul(s.a, g(n, p))), h(n, p))
                 assert s.b == want, (n, p)
                 pairs += 1
     assert pairs == 951

@@ -1,11 +1,11 @@
 """Package-wide rules read from the source: no module imports another
 module's private names, no self-check vanishes under python -O, every
-memo is bounded, no constructor re-derives a polynomial or raises, every
-public function has a caller outside the tests, every layer the
-benchmark's tracer wraps resolves, no process-pool machinery is
-imported, by the source or by a parallel scan, the CLI freezes the heap
-at exit, and each command loads only the stdlib it runs: only help and
-usage errors import click."""
+memo is bounded, no constructor or NamedTuple method re-derives a
+polynomial, no constructor raises, every public function has a caller
+outside the tests, every layer the benchmark's tracer wraps resolves, no
+process-pool machinery is imported, by the source or by a parallel scan,
+the CLI freezes the heap at exit, and each command loads only the stdlib
+it runs: only help and usage errors import click."""
 
 import ast
 import importlib
@@ -27,9 +27,12 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # memos whose key space is small by construction, not by a maxsize
 UNBOUNDED_MEMOS = {("domains.py", "_odd_primes_below_pow2")}
 
-# expansions and products a value type's constructor must not run; the
-# verify suites check the invariants that would need them
-DERIVING_CALLS = {"phi", "psi", "pseudo_phi", "poly_mul", "poly_exact_div", "factorize"}
+# expansions and products a value type's constructor, or any method of a
+# NamedTuple, must not run; the verify suites check the invariants that
+# would need them, and write the products they compare
+DERIVING_CALLS = {
+    "phi", "psi", "pseudo_phi", "poly_mul", "poly_mul_power", "poly_exact_div", "factorize"
+}
 
 # the methods that build a value: a plain class's and a dataclass's
 CONSTRUCTORS = {"__init__", "__new__", "__post_init__"}
@@ -88,20 +91,25 @@ def test_every_memo_is_bounded():
 
 
 def test_no_post_init_derives_a_polynomial():
+    # a NamedTuple holds values only, so none of its methods may derive one.
+    # The rule sees direct calls only: ScanReport.replay_ok reaches the
+    # oracles through flatness._recomputed_heights, which it does not follow
     found = []
     for name, tree in _modules():
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
+            bases = {getattr(base, "id", getattr(base, "attr", "")) for base in cls.bases}
+            named = "NamedTuple" in bases
             for fn in cls.body:
-                if not (isinstance(fn, ast.FunctionDef) and fn.name in CONSTRUCTORS):
+                if not (isinstance(fn, ast.FunctionDef) and (named or fn.name in CONSTRUCTORS)):
                     continue
                 for node in ast.walk(fn):
                     if isinstance(node, ast.Call):
                         target = node.func
                         label = getattr(target, "attr", getattr(target, "id", ""))
                         if label in DERIVING_CALLS:
-                            found.append(f"{name}: {cls.name} calls {label}")
+                            found.append(f"{name}: {cls.name}.{fn.name} calls {label}")
     assert found == []
 
 
