@@ -88,20 +88,23 @@ def echo(line, err: bool = False) -> None:
     """Write one line to the current stdout (stderr if err) and flush, as
     click.echo does; the flush keeps a broken pipe inside _guarded. The line
     is a str, or a function that writes it in pieces to the write it is
-    given. Click re-wraps a stream that is not UTF-8, so such a stream gets
-    the joined line through click.echo itself."""
+    given. As with click, a stream that is not UTF-8 gets the joined line,
+    and one whose encoding is ASCII or missing gets it as UTF-8 with errors
+    replaced, on its binary buffer."""
     stream = sys.stderr if err else sys.stdout
     encoding = getattr(stream, "encoding", None)
+    codec = codecs.lookup(encoding).name if encoding else "ascii"
     write_line = line if callable(line) else lambda write: write(line)
-    if not encoding or codecs.lookup(encoding).name != "utf-8":
-        import click
-
+    newline = "\n"
+    if codec != "utf-8":
         pieces: list[str] = []
         write_line(pieces.append)
-        click.echo("".join(pieces), err=err)
-        return
+        text = "".join(pieces)
+        if codec == "ascii" and hasattr(stream, "buffer"):
+            stream, text, newline = stream.buffer, text.encode("utf-8", "replace"), b"\n"
+        write_line = lambda write: write(text)
     write_line(stream.write)
-    stream.write("\n")
+    stream.write(newline)
     stream.flush()
 
 

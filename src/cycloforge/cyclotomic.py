@@ -26,7 +26,7 @@ from array import array
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
-from math import comb, gcd, prod
+from math import gcd, prod
 from operator import neg
 from typing import NamedTuple, Sequence
 
@@ -147,30 +147,25 @@ class Head(NamedTuple):
 
 
 def _height_bound(parts: tuple[int, ...], top: int) -> int:
-    # A bound on |[x^i]| for i < top of the product of the parts, proved
-    # from the parts alone, never read off the answer or taken on trust.
+    # A bound on |[x^i]| for i < top of Q_R, the product over the parts R,
+    # pairwise coprime and each > 1. It is proved from the parts alone,
+    # never read off the answer or taken on trust.
     #
-    # Any k parts: the product is prod(1 - x^d) over m = 2^(k-1) binomials,
-    # whose absolute coefficients sum to 2^m, times prod 1/(1 - x^d) over m
-    # more, whose coefficients are at most those of 1/(1 - x)^m, at most
-    # C(i + m - 1, m - 1).
-    #
-    # Distinct primes, tested here, make the product phi(N) (a factor 2 only
-    # flips signs): at most two odd ones give height 1, three odd primes
-    # p < q < r Bang's bound A(pqr) <= p - 1. With more, s the top odd prime
-    # and n the product of the other odd ones, as power series
-    #   phi_ns = phi_n(x^s) / phi_n(x) = -phi_n(x^s) psi_n(x) sum_j x^(jn).
-    # [x^j] phi_n(x^s) psi_n(x) sums [x^a]phi_n [x^b]psi_n over a s + b = j,
-    # at most one term per b = j (mod s), so it is at most A(phi_n) C, with
-    # C the largest sum of |[x^b]psi_n| over one residue class b mod s.
+    # A part 2 only flips signs: for odd R, Q_(R+2)(x) = Q_R(x^2) / Q_R(x)
+    # = Q_R(-x), as phi_2m(x) = phi_m(-x). At most two parts left give
+    # height 1: 1 + x + ... + x^(p-1), or the flat two-part product. Three
+    # primes p < q < r give phi_pqr, with Bang's bound A(pqr) <= p - 1.
+    # Otherwise, s the largest part and n the product of the rest, Q_rest
+    # divides x^n - 1 with cofactor psi, and as power series
+    #   Q_R = Q_rest(x^s) / Q_rest(x) = -Q_rest(x^s) psi(x) sum_j x^(jn).
+    # [x^j] Q_rest(x^s) psi(x) sums [x^a]Q_rest [x^b]psi over a s + b = j,
+    # at most one term per b = j (mod s), so it is at most A(Q_rest) C, with
+    # C the largest sum of |[x^b]psi| over one residue class b mod s.
     # The series sums floor(i / n) + 1 of those into [x^i].
-    if len(set(parts)) < len(parts) or not all(map(nt.is_prime, parts)):
-        m = 2 ** (len(parts) - 1)
-        return 2**m * comb(top + m - 1, m - 1)
     odd = sorted(p for p in parts if p != 2)
     if len(odd) <= 2:
         return 1
-    if len(odd) == 3:
+    if len(odd) == 3 and all(map(nt.is_prime, odd)):
         return odd[0] - 1
     s, n = odd[-1], prod(odd[:-1])
     height_n, abs_psi = _prefix_sizes(tuple(odd[:-1]))
@@ -179,12 +174,12 @@ def _height_bound(parts: tuple[int, ...], top: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _prefix_sizes(primes: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # A(phi_n) off the packed head and the |[x^b]psi_n| off the cofactor,
-    # for n the product of three or more ascending odd primes. The head's own
-    # bound recurses on fewer primes and ends at three, whose bound is Bang's.
-    psi_n = signed_subset_product(primes, cofactor=True).coeffs
-    return signed_subset_head(primes).height, tuple(map(abs, psi_n))
+def _prefix_sizes(parts: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    # A(Q_n) off the packed head and the |[x^b]psi_n| off the cofactor, for
+    # two or more ascending pairwise-coprime odd parts > 1 with product n.
+    # The head's own bound recurses on fewer parts and ends at two or three.
+    psi_n = signed_subset_product(parts, cofactor=True).coeffs
+    return signed_subset_head(parts).height, tuple(map(abs, psi_n))
 
 
 def _over_binomial(x: int, e: int, b: int, top: int, mask: int) -> int:
@@ -248,9 +243,9 @@ def _head_values(c: Sequence[int], h: int) -> Sequence[int]:
 
 def signed_subset_head(parts: tuple[int, ...]) -> Head:
     """The lower half of signed_subset_product(parts), a palindromic
-    polynomial, with its height. The field width comes from a height bound
-    that _height_bound proves from the parts: phi's when they are distinct
-    primes, so the product is phi of theirs, the generic one otherwise."""
+    polynomial, with its height, for pairwise-coprime parts, each greater
+    than 1. The field width comes from a height bound that _height_bound
+    proves from the parts alone."""
     plus, minus = _binomials(parts)
     deg = sum(plus) - sum(minus)
     at_one = prod(plus) // prod(minus)

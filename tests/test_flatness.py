@@ -93,23 +93,26 @@ def test_coefficient_set_golden():
 
 
 def test_bigtop_route_matches_expansion_grid():
-    # every odd squarefree n < 60 with a prime p > n and n*p <= 10000,
-    # whichever way the router sends it
+    # every odd squarefree n < 60 with a prime p > n and n*p <= 10000, and
+    # the order-3 n of the oneshot workload's big-top calls, 3*5*7 and
+    # 3*5*11, with 3*5*13 and 3*7*11, for n*p <= 60000, whichever way the
+    # router sends each
+    grid = [(n, 10000) for n in range(1, 60, 2)] + [(n, 60000) for n in (105, 165, 195, 231)]
     ps = [p for p in primes_up_to(10000 // 3) if p > 2]
     checked = 0
-    for n in range(1, 60, 2):
+    for n, limit in grid:
         fac = factorize(n)
         if any(e > 1 for _, e in fac):
             continue
         rest = tuple(q for q, _ in fac)
         for p in ps:
-            if p <= n or n * p > 10000:
+            if p <= n or n * p > limit:
                 continue
             f = phi(n * p, PhiAlgorithm.SparseSeries)
             assert height_of(rest + (p,)) == poly_height(f), (n, p)
             assert coefficient_set_of(rest + (p,)) == coeff_set(f), (n, p)
             checked += 1
-    assert checked > 1000
+    assert checked == 2874
 
 
 def test_bigtop_route_edge_cases(monkeypatch):

@@ -266,6 +266,7 @@ def _bare_modules():
         (["ldiagram", "--p", "5", "--q", "7"], 0, False),
         (["scan", "--conjecture", "notflat", "--bound", "200", "--cache", "j.jsonl"], 0, False),
         (["phi", "--n", "105", "--format", "json"], 0, False),
+        (["PYTHONIOENCODING=ascii", "phi", "--n", "15", "--format", "pretty"], 0, False),
     ],
 )
 def test_cli_loads_click_only_for_help_and_usage_errors(tmp_path, argv, code, loads_click):
@@ -276,6 +277,11 @@ def test_cli_loads_click_only_for_help_and_usage_errors(tmp_path, argv, code, lo
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     argv = [str(tmp_path / arg) if arg.endswith(".jsonl") else arg for arg in argv]
+    # leading NAME=value words set the environment, as on a shell line
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    while "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        env[name] = value
     # the CLI as its console script runs it; sys.modules is printed at exit
     script = (
         "import atexit, runpy, sys\n"
@@ -283,7 +289,6 @@ def test_cli_loads_click_only_for_help_and_usage_errors(tmp_path, argv, code, lo
         "sys.argv[0] = 'cycloforge'\n"
         "runpy.run_module('cycloforge.cli', run_name='__main__')\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, cwd=cwd, timeout=60,

@@ -123,11 +123,12 @@ def test_widths_come_from_the_parts_and_cover_the_height(full):
         assert poly_height(signed_subset_product(parts)) <= bound < 1 << (b - 1), parts
 
 
-def test_height_bound_takes_phi_route_exactly_for_distinct_primes():
-    # phi's bound is for a product phi(N), which distinct primes make, with
-    # or without 2; a prime power, a composite part or a repeated prime
-    # gets the generic majorant, which holds for any parts
-    def generic(parts):
+def test_height_bound_keeps_phis_bounds_below_the_old_majorant():
+    # prime parts keep phi's bounds, with or without 2. Every other set of
+    # pairwise-coprime parts takes the same rules (height 1 for at most two
+    # odd parts, the series bound beyond, a triple of them included) and
+    # sits strictly below the any-parts majorant it once took
+    def majorant(parts):
         m = 2 ** (len(parts) - 1)
         return 2**m * comb(_top(parts) + m - 1, m - 1)
 
@@ -135,9 +136,25 @@ def test_height_bound_takes_phi_route_exactly_for_distinct_primes():
     for parts, bound in phis.items():
         assert cyclotomic._height_bound(parts, _top(parts)) == bound, parts
     for parts in ((3, 5, 7, 11), (2, 3, 5, 7, 11), WIDE):
-        assert cyclotomic._height_bound(parts, _top(parts)) < generic(parts), parts
-    for parts in ((3, 5, 49), (5, 7, 15), (3, 3, 5), (4, 3, 5), (1, 3, 5)):
-        assert cyclotomic._height_bound(parts, _top(parts)) == generic(parts), parts
+        assert cyclotomic._height_bound(parts, _top(parts)) < majorant(parts), parts
+    pseudo = {
+        (9,): 1, (4, 9): 1, (2, 9, 25): 1, (3, 5, 49): 13, (4, 3, 5): 4,
+        (5, 7, 16): 6, (9, 25, 7): 10, (8, 9, 25, 7): 90, (7, 8, 9, 11, 25): 8568,
+    }
+    for parts, bound in pseudo.items():
+        assert cyclotomic._height_bound(parts, _top(parts)) == bound < majorant(parts), parts
+
+
+def test_every_small_coprime_tuple_takes_a_proved_byte_width():
+    # the bound covers the prefix the kernel computes, expanded in full by
+    # the list kernel, and every such head fits a byte per field
+    count = 0
+    for _, parts in coprime_tuples(None, 1, 1000):
+        top = _top(parts)
+        prefix = signed_subset_product(parts).coeffs[:top]
+        assert max(map(abs, prefix)) <= cyclotomic._height_bound(parts, top) < 128, parts
+        count += 1
+    assert count == 2929
 
 
 def test_three_odd_primes_take_bangs_bound_alone(monkeypatch):
@@ -189,11 +206,11 @@ def test_bangs_width_is_the_width_of_the_old_two_bound_minimum():
     assert count == 13324
 
 
-def test_all_prime_pseudo_triples_take_byte_fields(monkeypatch):
-    # the pseudonotflat domain up to 3300: the 209 all-prime triples are
-    # phi of their product, so phi's bound gives them one byte per field;
-    # the other triples keep the generic majorant's 32 or 64 bits. The
-    # width of each expansion is the last one field_width gave.
+def test_every_pseudo_triple_takes_byte_fields(monkeypatch):
+    # the pseudonotflat domain up to 3300: the 209 all-prime triples take
+    # Bang's bound, the 144 others the series bound, and all of them one
+    # byte per field. The width of each expansion is the last one
+    # field_width gave.
     widths = []
     real = cyclotomic.field_width
 
@@ -206,7 +223,7 @@ def test_all_prime_pseudo_triples_take_byte_fields(monkeypatch):
     for _, parts in coprime_tuples(3, 1, 3300, odd_only=True):
         pseudo_phi(parts)
         seen[all(map(is_prime, parts)), widths[-1]] += 1
-    assert seen == {(True, 8): 209, (False, 32): 101, (False, 64): 43}
+    assert seen == {(True, 8): 209, (False, 8): 144}
 
 
 @pytest.fixture
@@ -225,22 +242,24 @@ def test_field_width_steps():
 
 
 def test_wider_than_64_bits_decodes(monkeypatch, cold_prefix_sizes):
-    # four coprime parts take the generic bound past 64 bits; a forced
-    # wider field must not change any head either
+    # no proved bound this small needs more than 64 bits, so a forced
+    # wider field must leave every head as it was
     f = signed_subset_product((8, 9, 25, 7))
-    assert _width((8, 9, 25, 7))[1] > 64
-    assert signed_subset_head((8, 9, 25, 7)).height == poly_height(f)
     monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 192)
-    head = signed_subset_head(WIDE)
-    assert head.height == 359
+    assert signed_subset_head((8, 9, 25, 7)).height == poly_height(f) == 13
+    assert signed_subset_head(WIDE).height == 359
 
 
 def test_proved_width_is_load_bearing(monkeypatch, cold_prefix_sizes):
-    # one byte per field cannot hold 40755's coefficients: the wrapped head
-    # fails a self-check or reads a different height
+    # one byte per field cannot hold the coefficients of 40755, nor those
+    # of the pseudo product over (7, 8, 9, 11, 25), height 196, whose proved
+    # width is 16 bits: each wrapped head fails a self-check or reads a
+    # different height
+    assert _width((7, 8, 9, 11, 25))[1] == 16
     monkeypatch.setattr(cyclotomic, "field_width", lambda bound: 8)
-    try:
-        height = signed_subset_head(WIDE).height
-    except AssertionError:
-        return
-    assert height != 359
+    for parts, height in ((WIDE, 359), ((7, 8, 9, 11, 25), 196)):
+        try:
+            got = signed_subset_head(parts).height
+        except AssertionError:
+            continue
+        assert got != height, parts
