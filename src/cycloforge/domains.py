@@ -1,10 +1,10 @@
 """Every search domain that the scans and the verify suites enumerate.
 
-Each generator yields (product, parts) for lo <= product <= hi, parts
-ascending, in an order fixed for each window: scan journals record items
-in the order they come. A window's cost follows the window, not hi: the
-last part starts where the window does, instead of every tuple up to hi
-being walked and filtered.
+Each generator but `fj_pairs` yields (product, parts) for lo <= product
+<= hi, parts ascending, in an order fixed for each window: scan journals
+record items in the order they come. A window's cost follows the window,
+not hi: the last part starts where the window does, instead of every
+tuple up to hi being walked and filtered.
 """
 
 from __future__ import annotations
@@ -94,6 +94,16 @@ def squarefree(lo: int, hi: int):
     for n, r, ps in zip(range(lo, hi + 1), rest, parts):
         if r:
             yield n, tuple(ps) if r == 1 else (*ps, r)
+
+
+def fj_pairs(nmax: int, pmax: int):
+    """(n, p) for squarefree n in [2, nmax] and primes p <= pmax that do
+    not divide n, n ascending and then p: the fj suite's grid."""
+    ps = primes_up_to(pmax)
+    for n, _ in squarefree(2, nmax):
+        for p in ps:
+            if n % p != 0:
+                yield n, p
 
 
 def odd_squarefree3(lo: int, hi: int):

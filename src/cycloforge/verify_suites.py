@@ -7,6 +7,7 @@ rows; the CLI renders one PASS/FAIL line per property.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import reduce
 from math import gcd
 from typing import NamedTuple
@@ -20,7 +21,7 @@ from .cyclotomic import (
     signed_subset_head,
     signed_subset_product,
 )
-from .domains import coprime_tuples, prime_tuples, squarefree
+from .domains import coprime_tuples, fj_pairs, prime_tuples
 from .errors import UnknownSuite
 from .fjdecomp import (
     BezoutSplit,
@@ -136,12 +137,6 @@ def _run_binary(limit: int) -> list[PropertyResult]:
     return out
 
 
-def _fj_grid(nmax: int, pmax: int) -> list[tuple[int, int]]:
-    ns = [n for n, _ in squarefree(2, nmax)]
-    ps = primes_up_to(pmax)
-    return [(n, p) for n in ns for p in ps if n % p != 0]
-
-
 FJ_PROPERTIES = (
     "family-invariants",
     "f-equals-g",
@@ -228,17 +223,20 @@ def _fj_check_chunk(pairs: list[tuple[int, int]]) -> dict[str, list]:
     return fails
 
 
-def _chunks(items: list, size: int) -> list[list]:
+def _forked_failures(check, items: list, size: int, jobs: int) -> defaultdict:
+    # each property's failures over chunks of size items, in item order;
     # fork_map deals chunks round robin, so small ones even out the shares
-    return [items[i : i + size] for i in range(0, len(items), size)]
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    merged = defaultdict(list)
+    for fails in fork_map(check, chunks, jobs):
+        for prop, rows in fails.items():
+            merged[prop] += rows
+    return merged
 
 
 def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
-    pairs = _fj_grid(nmax, pmax)
-    merged: dict[str, list] = {prop: [] for prop in FJ_PROPERTIES}
-    for fails in fork_map(_fj_check_chunk, _chunks(pairs, 50), jobs):
-        for key, rows in fails.items():
-            merged[key].extend(rows)
+    pairs = list(fj_pairs(nmax, pmax))
+    fails = _forked_failures(_fj_check_chunk, pairs, 50, jobs)
     large = sum(1 for n, p in pairs if p > n)
     infos = (
         f"{len(pairs)} (n,p) pairs",
@@ -247,10 +245,7 @@ def _run_fj(nmax: int, pmax: int, jobs: int) -> list[PropertyResult]:
         f"{large} pairs with p > n",
         f"{large} pairs with p > n",
     )
-    return [
-        _result("fj", prop, merged[prop], info)
-        for prop, info in zip(FJ_PROPERTIES, infos)
-    ]
+    return [_result("fj", prop, fails[prop], info) for prop, info in zip(FJ_PROPERTIES, infos)]
 
 
 def _run_periodicity(n_values: tuple[int, ...], smax: int) -> list[PropertyResult]:
@@ -300,7 +295,7 @@ def _run_periodicity(n_values: tuple[int, ...], smax: int) -> list[PropertyResul
     return out
 
 
-def _pseudo_check_chunk(chunk: list[tuple[int, ...]]) -> tuple[list, list]:
+def _pseudo_check_chunk(chunk: list[tuple[int, ...]]) -> dict[str, list]:
     prod_bad, gcd_bad = [], []
     for parts in chunk:
         f = pseudo_phi(parts)
@@ -308,26 +303,12 @@ def _pseudo_check_chunk(chunk: list[tuple[int, ...]]) -> tuple[list, list]:
             prod_bad.append(parts)
         if poly(generator_gcd(parts)) != f:
             gcd_bad.append(parts)
-    return prod_bad, gcd_bad
+    return {"factorization-product": prod_bad, "gcd-identity": gcd_bad}
 
 
 def _run_pseudo(r2_limit: int, jobs: int) -> list[PropertyResult]:
-    out = []
-    prod_bad, gcd_bad = [], []
     tuples = [parts for _, parts in coprime_tuples(None, 1, 1000)]
-    for chunk_prod, chunk_gcd in fork_map(_pseudo_check_chunk, _chunks(tuples, 100), jobs):
-        prod_bad += chunk_prod
-        gcd_bad += chunk_gcd
-    out.append(
-        _result(
-            "pseudo", "factorization-product", prod_bad, f"{len(tuples)} tuples, n <= 1000"
-        )
-    )
-    out.append(
-        _result("pseudo", "gcd-identity", gcd_bad, f"{len(tuples)} tuples, n <= 1000")
-    )
-
-    r2_bad = []
+    fails = _forked_failures(_pseudo_check_chunk, tuples, 100, jobs)
     count = 0
     for _, (p, q, r) in coprime_tuples(3, 1, r2_limit):
         pq = p * q
@@ -336,16 +317,13 @@ def _run_pseudo(r2_limit: int, jobs: int) -> list[PropertyResult]:
         count += 1
         flat = signed_subset_head((p, q, r)).height == 1
         if flat != (q % p == 1):
-            r2_bad.append((p, q, r))
-    out.append(
-        _result(
-            "pseudo",
-            "r2-biconditional",
-            r2_bad,
-            f"{count} coprime triples with r=+/-2 (mod pq), n <= {r2_limit}",
-        )
+            fails["r2-biconditional"].append((p, q, r))
+    table = (
+        ("factorization-product", f"{len(tuples)} tuples, n <= 1000"),
+        ("gcd-identity", f"{len(tuples)} tuples, n <= 1000"),
+        ("r2-biconditional", f"{count} coprime triples with r=+/-2 (mod pq), n <= {r2_limit}"),
     )
-    return out
+    return [_result("pseudo", prop, fails[prop], info) for prop, info in table]
 
 
 def _head_record_ok(factors: tuple, f) -> bool:
@@ -454,9 +432,11 @@ def run_suite(
     """Run one named suite and return its property results. For pseudo,
     max_value sets only the r2-biconditional range: factorization-product
     and gcd-identity always cover the coprime tuples with n <= 1000. jobs
-    forked workers share fj's pairs, pseudo's factorization-product and
-    gcd-identity tuples, and paper-table's scan; the results are those of
-    jobs=1. The other suites run in this process."""
+    forked workers share paper-table's scan, and the chunks of fj's pairs
+    and of pseudo's factorization-product and gcd-identity tuples: each
+    chunk hands back its failures by property, joined in item order, so
+    the results are those of jobs=1. The other suites run in this
+    process."""
     if jobs < 1:
         raise ValueError("jobs must be positive")
     if name == "binary":

@@ -12,6 +12,7 @@ from cycloforge.cyclotomic import PhiAlgorithm, phi, signed_subset_product
 from cycloforge.domains import (
     chain4,
     coprime_tuples,
+    fj_pairs,
     odd_squarefree3,
     prime_tuples,
     squarefree,
@@ -140,6 +141,21 @@ def test_domain_counts_and_the_chain_to_2e7():
     assert sum(1 for _ in coprime_tuples(None, 1, 1000)) == 2929
     assert list(chain4(1, 2 * 10**7)) == [(prod(fs), fs) for fs in CHAIN4_TO_2E7]
     assert list(chain4(1, 1_481_780)) == []
+
+
+@pytest.mark.parametrize(
+    "nmax, pmax", [(0, 100), (1, 100), (2, 2), (30, 1), (30, 3), (52, 100), (210, 37)]
+)
+def test_fj_pairs_match_brute_force(nmax, pmax):
+    # squarefree n ascending, then the primes p <= pmax that do not divide n
+    want = [
+        (n, p)
+        for n in range(2, nmax + 1)
+        if all(e == 1 for _, e in factorize(n))
+        for p in range(2, pmax + 1)
+        if is_prime(p) and n % p
+    ]
+    assert list(fj_pairs(nmax, pmax)) == want
 
 
 def test_window_cost_follows_the_window(monkeypatch):

@@ -115,6 +115,33 @@ def test_bigtop_route_matches_expansion_grid():
     assert checked == 2874
 
 
+def test_heights_are_constant_on_periodicity_classes():
+    # The extended periodicity theorem on the scans' own domains: every
+    # prime tuple of 3 to 5 primes with product <= 25000, split into its
+    # top prime t and the product n of the rest. Where t > n - phi(n), the
+    # head at t has the height of the head at t', the least prime above
+    # n - phi(n) with t' = +/-t (mod n)
+    moved = tuples = 0
+    for k in (3, 4, 5):
+        for _, parts in prime_tuples(k, 1, 25000):
+            tuples += 1
+            *rest, t = parts
+            n = prod(rest)
+            threshold = n - prod(q - 1 for q in rest)
+            if t <= threshold:
+                continue
+            t2 = next(
+                s
+                for s in range(threshold + 1, t + 1)
+                if ((s - t) % n == 0 or (s + t) % n == 0) and is_prime(s)
+            )
+            if t2 != t:
+                moved += 1
+                want = signed_subset_head(parts).height
+                assert signed_subset_head(tuple(sorted((*rest, t2)))).height == want, parts
+    assert (moved, tuples) == (1220, 2635)
+
+
 def test_bigtop_route_edge_cases(monkeypatch):
     calls = []
     real = flatness.fstar_shifts

@@ -1,6 +1,9 @@
+from math import gcd
+
 import pytest
 
 from cycloforge import flatness, verify_suites
+from cycloforge._numtheory import is_prime, totient
 from cycloforge.cyclotomic import phi
 from cycloforge.errors import UnknownSuite
 from cycloforge.fjdecomp import BezoutSplit, FjFamily
@@ -186,6 +189,30 @@ def test_periodicity_suite_narrow():
     results = run_suite("periodicity", n_values=(15,), smax=60)
     assert all(r.ok for r in results)
     assert "n in [15]" in results[0].info
+
+
+@pytest.mark.parametrize(
+    "n_values, pairs",
+    [
+        ((105, 165, 195, 231), 286),
+        ((9, 25, 45, 75, 175), 2987),
+        ((12, 30, 60, 210), 4535),
+    ],
+    ids=["order-3", "square-parts", "even"],
+)
+def test_periodicity_suite_at_the_full_hypothesis(n_values, pairs):
+    # the theorem holds for any n, with s and t anywhere above n - phi(n):
+    # odd n of order 3, n with square parts and even n, each pair counted
+    # here by brute force
+    brute = 0
+    for n in n_values:
+        threshold = n - totient(n)
+        ps = [s for s in range(threshold + 1, 601) if is_prime(s) and gcd(s, n) == 1]
+        brute += sum(1 for s in ps for t in ps if s < t and ((t - s) % n == 0 or (t + s) % n == 0))
+    assert brute == pairs
+    results = run_suite("periodicity", n_values=n_values, smax=600)
+    assert all(r.ok for r in results)
+    assert results[0].info == f"{pairs} prime pairs over n in {list(n_values)}"
 
 
 def test_paper_table_reduced_bound():
